@@ -141,6 +141,9 @@ def _effective_decl(program, inst, port) -> tuple[FormatDecl | None, bool]:
 def _gather(bag: DiagnosticBag, program, pg, context: str) -> list[_Endpoint] | None:
     """Instantiate every active endpoint's format term."""
     out: list[_Endpoint] = []
+    # Slice copies of one definition share its declaration and params, so
+    # they instantiate to the same (immutable) term: build it once.
+    terms: dict[tuple[str, str], tuple[FormatDecl, dict, Term]] = {}
     for table in pg.streams.values():
         for endpoint, is_writer in [(w, True) for w in table.writers] + [
             (r, False) for r in table.readers
@@ -169,8 +172,14 @@ def _gather(bag: DiagnosticBag, program, pg, context: str) -> list[_Endpoint] | 
                     where=inst.definition_id,
                 )
             else:
+                key = (inst.definition_id, endpoint.port)
+                hit = terms.get(key)
                 try:
-                    term = decl.instantiate(inst.params, inst.definition_id)
+                    if hit and hit[0] is decl and hit[1] == inst.params:
+                        term = hit[2]
+                    else:
+                        term = decl.instantiate(inst.params, inst.definition_id)
+                        terms[key] = (decl, inst.params, term)
                 except FormatError as exc:
                     bag.report(
                         "X502",
@@ -212,11 +221,18 @@ def solve_formats_or_raise(program, pg) -> FormatSolution:
     the graph is built — never run on silent first-write inference, where
     a sink declaring one geometry happily consumes another.  Warnings and
     infos (X504/X505/X506) pass through untouched; they are lint's
-    business, not the runtime's.
+    business, not the runtime's.  A clean solution is memoised per
+    configuration on ``program``: the solve is deterministic in the
+    option states, and reconfiguration revisits the same few
+    configurations many times.
     """
     from repro.analysis.diagnostics import Severity
     from repro.errors import StreamFormatError
 
+    key = tuple(sorted(pg.option_states.items()))
+    solution = program._format_solutions.get(key)
+    if solution is not None:
+        return solution
     bag = DiagnosticBag()
     solution = check_formats(bag, program, pg)
     if bag.has_errors:
@@ -226,6 +242,7 @@ def solve_formats_or_raise(program, pg) -> FormatSolution:
             f"declared port formats do not reconcile "
             f"({len(errors)} error(s)): {detail}"
         )
+    program._format_solutions[key] = solution
     return solution
 
 

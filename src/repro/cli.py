@@ -171,15 +171,9 @@ def _print_fusion_report(runtime) -> None:
     if report is None:
         return
     print(
-        f"chain fusion ({report.backend}): {report.fused_node_count} fused "
-        f"kernel(s), {len(report.internal_streams)} stream(s) made "
-        f"worker-local"
+        f"chain fusion: {report.fused_node_count} fused kernel(s), "
+        f"{len(report.internal_streams)} stream(s) made worker-local"
     )
-    if report.backend != report.requested_backend:
-        print(
-            f"  note: backend {report.requested_backend!r} unavailable, "
-            f"fell back to {report.backend!r}"
-        )
 
 
 def _usage_error(message: str) -> int:
@@ -269,7 +263,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             pipeline_depth=args.pipeline_depth,
             max_iterations=args.iterations,
             fuse=args.fuse,
-            fuse_backend=args.fuse_backend,
         )
         result = runtime.run()
         print(
@@ -293,7 +286,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             respawn=not args.no_respawn,
             faults=args.inject_fault,
             fuse=args.fuse,
-            fuse_backend=args.fuse_backend,
             autotune=args.autotune,
             objective=(
                 "deadline" if args.deadline_ms is not None
@@ -683,11 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "chains into single-dispatch fused kernels; "
                         "intermediate planes stay worker-local (see "
                         "docs/performance.md §Chain fusion)")
-    p.add_argument("--fuse-backend", choices=("numpy", "numba"),
-                   default="numpy",
-                   help="fused-kernel codegen backend; 'numba' falls back "
-                        "to numpy when numba is not installed (default: "
-                        "numpy)")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("predict", help="analytic performance estimate")

@@ -319,69 +319,17 @@ def _freq_dict(symbols: np.ndarray) -> dict[int, int]:
     return {int(s): int(c) for s, c in enumerate(counts) if c}
 
 
-#: compiled numba kernel cache: None = not tried, False = unavailable
-_NUMBA_KERNEL: object = None
-
-
-def _numba_encode_kernel():
-    """Compile (once) the njit DCT->quant->zigzag kernel, or ``None``.
-
-    numba's ``np.dot`` on contiguous float64 matrices dispatches to the
-    same BLAS the numpy expression uses, and rounding/casting mirror the
-    numpy kernel operation for operation, so the compiled variant stays
-    bit-identical.  Any import or compilation failure degrades silently
-    to the numpy expression — numba is strictly optional.
-    """
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        try:
-            import numba
-
-            @numba.njit(cache=False)
-            def kernel(blocks, qtable, c, ct, order):  # pragma: no cover
-                n = blocks.shape[0]
-                out = np.empty((n, 64), dtype=np.int32)
-                for i in range(n):
-                    coeff = np.dot(np.dot(c, blocks[i]), ct) / qtable
-                    flat = coeff.copy().reshape(64)
-                    for j in range(64):
-                        out[i, j] = np.int32(np.rint(flat[order[j]]))
-                return out
-
-            _NUMBA_KERNEL = kernel
-        except Exception:
-            _NUMBA_KERNEL = False
-    return _NUMBA_KERNEL or None
-
-
-def fused_dct_quant_zigzag(
-    blocks: np.ndarray, qtable: np.ndarray, *, backend: str = "numpy"
-) -> np.ndarray:
+def fused_dct_quant_zigzag(blocks: np.ndarray, qtable: np.ndarray) -> np.ndarray:
     """DCT -> quantize -> zigzag as one kernel: (n, 8, 8) -> (n, 64) int32.
 
     Elementwise identical to
     ``zigzag_blocks(quantize(dct2_blocks(blocks), qtable))`` — the same
     matmuls, division, ``rint`` and ``int32`` cast in the same order —
     but the quantized and zigzagged stages are never materialized as
-    separate (n, 8, 8) arrays: one expression, one output buffer.  With
-    ``backend="numba"`` a compiled variant is attempted first and the
-    numpy expression remains the transparent fallback.
+    separate (n, 8, 8) arrays: one expression, one output buffer.
     """
     if blocks.shape[-2:] != (8, 8):
         raise CodecError(f"expected (..., 8, 8) blocks, got {blocks.shape}")
-    if backend == "numba":
-        kernel = _numba_encode_kernel()
-        if kernel is not None:
-            try:
-                return kernel(
-                    np.ascontiguousarray(blocks, dtype=np.float64),
-                    np.ascontiguousarray(qtable, dtype=np.float64),
-                    np.ascontiguousarray(_C),
-                    np.ascontiguousarray(_CT),
-                    ZIGZAG_ORDER.astype(np.int64),
-                )
-            except Exception:
-                pass  # fall through: the numpy expression is always valid
     return (
         np.rint((_C @ blocks @ _CT) / qtable)
         .astype(np.int32)
@@ -389,12 +337,9 @@ def fused_dct_quant_zigzag(
     )
 
 
-def quantize_plane(
-    plane: np.ndarray, qtable: np.ndarray, *, backend: str = "numpy"
-) -> np.ndarray:
+def quantize_plane(plane: np.ndarray, qtable: np.ndarray) -> np.ndarray:
     """Encoder front end: pixel plane -> (n, 64) int32 zigzag coefficients."""
-    return fused_dct_quant_zigzag(_blockify(plane) - 128.0, qtable,
-                                  backend=backend)
+    return fused_dct_quant_zigzag(_blockify(plane) - 128.0, qtable)
 
 
 def coefficients_from_zigzag(
@@ -412,9 +357,7 @@ def coefficients_from_zigzag(
     return PlaneCoefficients(width=width, height=height, blocks=blocks)
 
 
-def encode_plane(
-    plane: np.ndarray, qtable: np.ndarray, *, backend: str = "numpy"
-) -> EncodedPlane:
+def encode_plane(plane: np.ndarray, qtable: np.ndarray) -> EncodedPlane:
     """Full encode of one plane (vectorized entropy coding).
 
     Bit-identical to the per-symbol reference implementation
@@ -425,7 +368,7 @@ def encode_plane(
     """
     height, width = plane.shape
     blocks = _blockify(plane) - 128.0
-    zz = fused_dct_quant_zigzag(blocks, qtable, backend=backend)  # (n, 64)
+    zz = fused_dct_quant_zigzag(blocks, qtable)  # (n, 64)
 
     symbols, amp_bits, amp_sizes, is_dc = _record_stream(zz)
     dc_codec = HuffmanCodec.from_frequencies(_freq_dict(symbols[is_dc]))
@@ -698,16 +641,14 @@ def idct_plane(
     return out
 
 
-def encode_frame(
-    frame: Frame, *, quality: int = 75, backend: str = "numpy"
-) -> EncodedFrame:
+def encode_frame(frame: Frame, *, quality: int = 75) -> EncodedFrame:
     """Compress one YUV 4:2:0 frame."""
     luma_q = scale_qtable(LUMA_QTABLE, quality)
     chroma_q = scale_qtable(CHROMA_QTABLE, quality)
     return EncodedFrame(
-        y=encode_plane(frame.y, luma_q, backend=backend),
-        u=encode_plane(frame.u, chroma_q, backend=backend),
-        v=encode_plane(frame.v, chroma_q, backend=backend),
+        y=encode_plane(frame.y, luma_q),
+        u=encode_plane(frame.u, chroma_q),
+        v=encode_plane(frame.v, chroma_q),
     )
 
 

@@ -272,7 +272,7 @@ class MjpegSource(Component):
         job.write("output", encoded)
 
     def transcoded_coefficients(
-        self, iteration: int, backend: str = "numpy"
+        self, iteration: int
     ) -> dict[str, jpeg_codec.PlaneCoefficients]:
         """Decoded coefficients without the Huffman round-trip.
 
@@ -292,8 +292,7 @@ class MjpegSource(Component):
                 jpeg_codec.CHROMA_QTABLE, quality
             )
             entry = tuple(
-                (field, jpeg_codec.quantize_plane(plane, qtable,
-                                                  backend=backend),
+                (field, jpeg_codec.quantize_plane(plane, qtable),
                  qtable, plane.shape[1], plane.shape[0])
                 for field, plane, qtable in (
                     ("y", frame.y, luma_q),
@@ -408,9 +407,7 @@ class JpegDecode(Component):
             return None
 
         def kernel(source, decode, src_job, job):
-            coeffs = source.transcoded_coefficients(
-                src_job.iteration, backend
-            )
+            coeffs = source.transcoded_coefficients(src_job.iteration)
             job.write("coeffs_y", coeffs["y"])
             job.write("coeffs_u", coeffs["u"])
             job.write("coeffs_v", coeffs["v"])
@@ -691,32 +688,6 @@ class ConvertPlane(Component, _SlicedMixin):
             return _instance_rows(instance, height)
         return super().reads_rows(instance, port, height)
 
-    @classmethod
-    def compile_fused(cls, instance: ComponentInstance, backend: str):
-        if backend != "numba":
-            return None
-        try:
-            import numba
-        except Exception:
-            return None
-        try:
-            kernel = numba.njit(cache=False)(_convert_band)
-        except Exception:
-            return None
-
-        def run(component: "ConvertPlane", job: JobContext) -> None:
-            src: np.ndarray = job.read("input")
-            dtype = np.dtype(str(component.require_param("dtype")))
-            out = job.buffer("output", shape=src.shape, dtype=dtype)
-            lo, hi = component.rows(src.shape[0])
-            scale = component.param("scale")
-            use_scale = scale is not None
-            kernel(src, out, lo, hi,
-                   float(scale) if use_scale else 1.0, use_scale)
-            job.note_written((hi - lo) * src.shape[1])
-
-        return run
-
     def run(self, job: JobContext) -> None:
         src: np.ndarray = job.read("input")
         dtype = np.dtype(str(self.require_param("dtype")))
@@ -728,21 +699,6 @@ class ConvertPlane(Component, _SlicedMixin):
             view = view * float(scale)
         np.copyto(out[lo:hi], view, casting="unsafe")
         job.note_written((hi - lo) * src.shape[1])
-
-
-def _convert_band(src, out, lo, hi, scale, use_scale):
-    """Loop-style dtype conversion kernel, njit-compilable as-is.
-
-    Elementwise C-cast assignment matches the reference implementation's
-    ``np.copyto(..., casting="unsafe")`` bit-for-bit, with and without the
-    float pre-multiply.
-    """
-    for r in range(lo, hi):
-        for c in range(src.shape[1]):
-            if use_scale:
-                out[r, c] = src[r, c] * scale
-            else:
-                out[r, c] = src[r, c]
 
 
 class _BlurBase(Component, _SlicedMixin):

@@ -26,7 +26,7 @@ stream has one *logical* writer — all slice copies of one definition site
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.core.ast import EventHandler, Value
 from repro.core.ports import PortSpec
@@ -217,6 +217,10 @@ class Program:
         #: configuration instead of once per build — reconfiguration
         #: toggles between a handful of configurations thousands of times.
         self._validated_states: set[tuple[tuple[str, bool], ...]] = set()
+        #: option-state key -> solved port formats of that configuration
+        #: (:func:`repro.analysis.formats.solve_formats_or_raise`); same
+        #: determinism, same reason to solve each configuration once
+        self._format_solutions: dict[tuple[tuple[str, bool], ...], Any] = {}
 
     # -- introspection ------------------------------------------------------
 

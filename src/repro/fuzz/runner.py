@@ -3,11 +3,11 @@
 Builds the case's spec, then holds it to three oracles:
 
 * **lint/build agreement** — mutated (deliberately broken) specs must be
-  flagged by lint AND refused at build (expand or runtime construction);
-  clean specs must lint clean and run on every backend;
-* **bit-identical output** — every run configuration (threaded/process,
-  sequential/wide, knobs on/off, faults injected) must produce the same
-  sink records in the same order;
+  flagged by lint AND refused at build (expand, or construction of every
+  runtime); clean specs must lint clean and run on every backend;
+* **bit-identical output** — every run configuration (threaded/process/
+  simulator, sequential/wide, knobs on/off, faults injected) must produce
+  the same sink records in the same order;
 * **clean accounting** — runs complete all iterations, report every
   unfired fault, and leak nothing into ``/dev/shm``.
 
@@ -18,8 +18,9 @@ pipeline_depth=1``); events posted *before* ``run()`` are deterministic
 at any *width* but not across *depths* — the splice lands at the
 pipeline's drain point, so ``pipeline_depth`` shifts the resume
 iteration (depth 1 resumes at iteration 1, depth 2 at iteration 2,
-identically on both backends); static programs match at any knob
-setting.  The run matrix below respects exactly those rules, so any
+identically on every backend); static programs match at any knob
+setting.  The simulator runs functionally (``execute=True``) on one
+node at each matrix's depth.  The run matrix below respects exactly those rules, so any
 mismatch it finds is a real bug, not harness noise.
 """
 
@@ -196,6 +197,7 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
             {"backend": "threaded", "nodes": 1, "depth": 1},
             {"backend": "threaded", "nodes": 1, "depth": 1, "fuse": True},
             {"backend": "process", "workers": 1, "depth": 1},
+            {"backend": "sim", "nodes": 1, "depth": 1},
         ]
         if case.faults:
             runs.append({"backend": "process", "workers": 1, "depth": 1,
@@ -220,6 +222,7 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
                 "fuse": knobs.get("fuse", False),
                 "autotune": knobs.get("autotune", False),
             },
+            {"backend": "sim", "nodes": 1, "depth": depth},
         ]
         if case.faults:
             runs.append({"backend": "process", "workers": 2, "depth": depth,
@@ -238,6 +241,7 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
             "fuse": knobs.get("fuse", False),
             "autotune": knobs.get("autotune", False),
         },
+        {"backend": "sim", "nodes": 1, "depth": 2},
     ]
     if case.faults:
         runs.append({"backend": "process", "workers": 2, "depth": 2,
@@ -245,31 +249,43 @@ def _plan_runs(case: FuzzCase) -> list[dict]:
     return runs
 
 
-def _execute(case: FuzzCase, program, registry, run: dict):
-    """One run; returns (ordered outputs, RunResult)."""
+def _runtime(case: FuzzCase, program, registry, run: dict):
+    """Construct (build, but do not run) the runtime ``run`` describes."""
     from repro.hinch import ProcessRuntime, ThreadedRuntime
+    from repro.spacecake import SimRuntime
 
-    period = _timer_period(case)
     if run["backend"] == "threaded":
-        rt = ThreadedRuntime(
+        return ThreadedRuntime(
             program, registry,
             nodes=run.get("nodes", 1),
             pipeline_depth=run.get("depth", 1),
             max_iterations=case.iterations,
             fuse=run.get("fuse", False),
         )
-    else:
-        rt = ProcessRuntime(
+    if run["backend"] == "sim":
+        return SimRuntime(
             program, registry,
-            workers=run.get("workers", 1),
+            nodes=run.get("nodes", 1),
             pipeline_depth=run.get("depth", 1),
             max_iterations=case.iterations,
-            batch=run.get("batch", 1),
-            fuse=run.get("fuse", False),
-            autotune=run.get("autotune", False),
-            faults=",".join(run.get("faults", [])) or None,
+            execute=True,
         )
-    if case.reconfig is not None and period is None:
+    return ProcessRuntime(
+        program, registry,
+        workers=run.get("workers", 1),
+        pipeline_depth=run.get("depth", 1),
+        max_iterations=case.iterations,
+        batch=run.get("batch", 1),
+        fuse=run.get("fuse", False),
+        autotune=run.get("autotune", False),
+        faults=",".join(run.get("faults", [])) or None,
+    )
+
+
+def _execute(case: FuzzCase, program, registry, run: dict):
+    """One run; returns (ordered outputs, run result)."""
+    rt = _runtime(case, program, registry, run)
+    if case.reconfig is not None and _timer_period(case) is None:
         rt.post_event(QUEUE, EVENT)  # single toggle: any-width determinism
     result = rt.run()
     sink = result.components["sink"]
@@ -287,7 +303,6 @@ def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
     from repro.components.registry import default_ports, default_registry
     from repro.core.expander import expand
     from repro.errors import ReproError
-    from repro.hinch import ThreadedRuntime
 
     registry = registry or default_registry()
     ports = default_ports(registry)
@@ -306,18 +321,23 @@ def check_case(case: FuzzCase, *, registry=None) -> CaseFailure | None:
                 "mutation-not-linted",
                 f"mutation {case.mutation!r} produced no lint error",
             )
-        # lint rejected it; the build must too — never reach job execution
+        # lint rejected it; every backend's build must too — never
+        # reach job execution
         try:
             program = expand(spec, ports, name=f"fuzz-{case.seed}")
-            ThreadedRuntime(program, registry, nodes=1, pipeline_depth=1,
-                            max_iterations=case.iterations)
         except ReproError:
-            return None  # agreement: rejected at build
-        return CaseFailure(
-            "lint-build-disagreement",
-            f"lint rejected ({errors[0].code}) but build accepted "
-            f"mutation {case.mutation!r}",
-        )
+            return None  # agreement: rejected at expand
+        for backend in ("threaded", "process", "sim"):
+            try:
+                _runtime(case, program, registry, {"backend": backend})
+            except ReproError:
+                continue  # agreement: rejected at build
+            return CaseFailure(
+                "lint-build-disagreement",
+                f"lint rejected ({errors[0].code}) but the {backend} build "
+                f"accepted mutation {case.mutation!r}",
+            )
+        return None
 
     if errors:
         return CaseFailure(

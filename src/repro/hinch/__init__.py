@@ -18,6 +18,9 @@ This package reproduces those responsibilities:
   per-iteration dependency counting, pipeline parallelism across
   iterations, manager-driven reconfiguration (halt, drain, splice,
   resume);
+* :mod:`repro.hinch.coordination` — the coordination core every backend
+  shares: the one configuration build and the reconfiguration
+  controller;
 * :mod:`repro.hinch.runtime` — the threaded runtime that executes
   components for real (correctness backend; the SpaceCAKE simulator in
   :mod:`repro.spacecake` is the performance backend and reuses the same

@@ -77,20 +77,6 @@ class Component:
         return None
 
     @classmethod
-    def compile_fused(cls, instance: ComponentInstance, backend: str):
-        """Optional compiled replacement for :meth:`run` inside a fused chain.
-
-        The fusion compiler calls this per member when building a
-        :class:`~repro.hinch.fusion.FusedChain` with a non-default
-        backend (``--fuse-backend numba``).  Return a callable
-        ``(component, job) -> None`` to substitute for ``run``, or
-        ``None`` (the default) to keep the interpreted numpy kernel —
-        the automatic-fallback contract: a missing dependency or an
-        uncompilable kernel must yield ``None``, never raise.
-        """
-        return None
-
-    @classmethod
     def compile_fused_pair(
         cls,
         upstream_cls: type["Component"],
@@ -108,8 +94,9 @@ class Component:
         Return a callable ``(upstream_component, component,
         upstream_job, job) -> None`` whose observable effects (stream
         writes, events, state) are bit-identical to running both members
-        in order, or ``None`` (the default).  Same no-raise fallback
-        contract as :meth:`compile_fused`.
+        in order, or ``None`` (the default); never raise — an
+        uncompilable pair must fall back to running both members.
+        ``backend`` is always ``"numpy"``.
         """
         return None
 

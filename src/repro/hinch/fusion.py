@@ -25,11 +25,9 @@ again at every reconfiguration splice:
    everything *not* proven internal, and falls back chain-by-chain (and
    ultimately to the unfused graph) if a rewrite would introduce a cycle.
 
-Codegen backends: the always-on ``numpy`` backend composes the members'
-vectorized kernels over the local temporaries; ``numba`` additionally
-asks each member class for an njit-compiled replacement kernel
-(:meth:`Component.compile_fused`), silently falling back per member —
-and to ``numpy`` entirely — when numba is absent or compilation fails.
+A fused job composes the members' vectorized numpy kernels over the
+local temporaries; adjacent members may collapse further into one
+combined kernel (:meth:`Component.compile_fused_pair`).
 """
 
 from __future__ import annotations
@@ -52,38 +50,7 @@ __all__ = [
     "FusionReport",
     "fuse_chains",
     "run_fused",
-    "resolve_backend",
-    "numba_available",
-    "FUSE_BACKENDS",
 ]
-
-FUSE_BACKENDS = ("numpy", "numba")
-
-
-def numba_available() -> bool:
-    """True when the optional numba dependency can actually be imported."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def resolve_backend(requested: str) -> str:
-    """Resolve the requested codegen backend, falling back to ``numpy``.
-
-    ``numba`` degrades silently when the dependency is absent — the
-    fused-vs-unfused bit-identity contract holds either way, so a missing
-    accelerator must never fail a run.
-    """
-    if requested not in FUSE_BACKENDS:
-        raise ValueError(
-            f"unknown fuse backend {requested!r}; expected one of "
-            f"{FUSE_BACKENDS}"
-        )
-    if requested == "numba" and not numba_available():
-        return "numpy"
-    return requested
 
 
 class FusedChain(tuple):
@@ -98,26 +65,21 @@ class FusedChain(tuple):
         format solution, or ``None`` for opaque (object) streams.  These
         streams live as job-local values/temporaries and never reach the
         stream store.
-    ``backend``
-        resolved codegen backend (``"numpy"`` or ``"numba"``).
     """
 
     internal: dict[str, tuple[tuple[int, ...], Any] | None]
-    backend: str
 
     def __new__(
         cls,
         members: tuple[ComponentInstance, ...],
         internal: Mapping[str, tuple[tuple[int, ...], Any] | None],
-        backend: str = "numpy",
     ) -> "FusedChain":
         self = super().__new__(cls, tuple(members))
         self.internal = dict(internal)
-        self.backend = backend
         return self
 
     def __reduce__(self):
-        return (FusedChain, (tuple(self), self.internal, self.backend))
+        return (FusedChain, (tuple(self), self.internal))
 
     @property
     def node_id(self) -> str:
@@ -128,8 +90,6 @@ class FusedChain(tuple):
 class FusionReport:
     """What one :func:`fuse_chains` pass decided, for introspection/tests."""
 
-    requested_backend: str
-    backend: str
     chains: tuple[FusedChain, ...] = ()
     #: resolved stream names proven internal to some chain
     internal_streams: tuple[str, ...] = ()
@@ -312,7 +272,6 @@ def _rewrite(
     pg: ProgramGraph,
     chains: list[list[str]],
     approved: dict[str, tuple[list[tuple[str, str]], Any]],
-    backend: str,
 ) -> tuple[TaskGraph, list[FusedChain]] | None:
     """Contract ``chains`` into fused nodes; None when the result cycles.
 
@@ -368,7 +327,7 @@ def _rewrite(
                     for w, r in prs
                 )
             }
-            payload = FusedChain(members, internal, backend)
+            payload = FusedChain(members, internal)
             fused_payloads[cid] = payload
             new.add_node(
                 cid,
@@ -416,7 +375,6 @@ def fuse_chains(
     program: Any,
     registry: Mapping[str, type[Component]],
     expectations: Mapping[str, tuple[tuple[int, ...], Any]],
-    backend: str = "numpy",
     parallel_headroom: int | None = None,
 ) -> tuple[ProgramGraph, FusionReport]:
     """Compile every provably-fusable chain of ``pg`` into fused nodes.
@@ -431,8 +389,7 @@ def fuse_chains(
     that can genuinely run in parallel (``min(workers, cores)`` on the
     process backend) or ``None`` to fuse unconditionally.
     """
-    resolved = resolve_backend(backend)
-    report = FusionReport(requested_backend=backend, backend=resolved)
+    report = FusionReport()
 
     approved: dict[str, tuple[list[tuple[str, str]], Any]] = {}
     for name, table in pg.streams.items():
@@ -453,7 +410,7 @@ def fuse_chains(
 
     dropped: list[str] = []
     while chains:
-        result = _rewrite(pg, chains, approved, resolved)
+        result = _rewrite(pg, chains, approved)
         if result is not None:
             break
         # A chain interacts with an external path; drop the most recently
@@ -673,8 +630,8 @@ def run_fused(
     ``streams`` is anything exposing ``.stream(name)`` (a
     :class:`~repro.hinch.stream.StreamStore` or the process workers'
     stream view); ``cache`` is a per-fused-node dict owned by the caller,
-    holding the reusable intermediate temps and, on the numba backend,
-    the compiled member kernels.  Clear it on reconfiguration.
+    holding the reusable intermediate temps and the compiled steps.
+    Clear it on reconfiguration.
     """
     if cache is None:
         cache = {}
@@ -716,11 +673,7 @@ def run_fused(
             member_times.append((first.instance_id, start, end))
             member_times.append((second.instance_id, start, end))
             continue
-        component = components[first.instance_id]
-        if kernel is not None:
-            kernel(component, ctx)
-        else:
-            component.run(ctx)
+        components[first.instance_id].run(ctx)
         member_times.append(
             (first.instance_id, start, time.perf_counter())
         )
@@ -737,9 +690,7 @@ def _compile_steps(
     Adjacent members whose connecting streams are all chain-internal are
     offered to the downstream class's
     :meth:`~Component.compile_fused_pair` peephole; a hit collapses both
-    into one step.  Remaining members get a per-member compiled kernel
-    on non-default backends (:meth:`~Component.compile_fused`) or the
-    interpreted ``run``.
+    into one step.  Remaining members run their interpreted ``run``.
     """
     members = list(chain)
     steps: list[tuple[ComponentInstance, ComponentInstance | None, Any]] = []
@@ -749,21 +700,13 @@ def _compile_steps(
             a, b = members[i], members[i + 1]
             if _feeds_internally(a, b, chain, components, aliases):
                 pair = type(components[b.instance_id]).compile_fused_pair(
-                    type(components[a.instance_id]), a, b, chain.backend
+                    type(components[a.instance_id]), a, b, "numpy"
                 )
                 if pair is not None:
                     steps.append((a, b, pair))
                     i += 2
                     continue
-        member = members[i]
-        kernel = (
-            type(components[member.instance_id]).compile_fused(
-                member, chain.backend
-            )
-            if chain.backend != "numpy"
-            else None
-        )
-        steps.append((member, None, kernel))
+        steps.append((members[i], None, None))
         i += 1
     return steps
 

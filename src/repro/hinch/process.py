@@ -102,16 +102,20 @@ from repro.hinch.autotune import (
     Observation,
 )
 from repro.hinch.component import Component, JobContext
-from repro.hinch.events import Event, EventBroker
+from repro.hinch.coordination import (
+    ComponentHost,
+    Coordinator,
+    apply_replay,
+    build_configuration,
+)
+from repro.hinch.events import Event
 from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
-from repro.hinch.fusion import FusedChain, FusionReport, run_fused
+from repro.hinch.fusion import FusedChain, run_fused
 from repro.hinch.jobqueue import Job, JobQueue
-from repro.hinch.manager import ManagerRuntime
-from repro.hinch.runtime import ComponentHost, RunResult
-from repro.hinch.scheduler import DataflowScheduler, ReconfigPlan
+from repro.hinch.runtime import RunResult
+from repro.hinch.scheduler import ReconfigPlan
 from repro.hinch.shm import NameInterner, Packed, PlaneRef, SharedPlanePool
-from repro.hinch.stream import StreamStore
-from repro.hinch.tracing import TraceEvent, Tracer
+from repro.hinch.tracing import TraceEvent
 
 __all__ = ["ProcessRuntime"]
 
@@ -356,17 +360,16 @@ class _Worker:
         worker_id: int,
         overrides: Mapping[str, ComponentInstance] | None = None,
         fuse: bool = False,
-        fuse_backend: str = "numpy",
         program_base: Program | None = None,
         slice_overrides: Mapping[str, int] | None = None,
         fuse_headroom: int | None = None,
+        replay: Mapping[str, tuple[str, ...]] | None = None,
     ) -> None:
         self.conn = conn
         self.program = program
         self.registry = registry
         self.group_chains = group_chains
         self.fuse = fuse
-        self.fuse_backend = fuse_backend
         #: the un-resliced Program — re-slices always derive from it so
         #: cumulative overrides stay idempotent; ``program`` itself may
         #: already be a resliced derivation at fork time
@@ -376,10 +379,6 @@ class _Worker:
         #: workers-vs-cores headroom for the fusion profitability guard
         #: (None fuses unconditionally); updated by splice messages
         self.fuse_headroom = fuse_headroom
-        #: parameter reconfigurations seen so far, replayed to mirrors a
-        #: re-slice splice creates fresh (they would otherwise miss every
-        #: dynamic request that preceded them)
-        self._reconfig_log: list[tuple[str, str]] = []
         self.worker_id = worker_id
         self.pool = _RemotePlanePool(self.rpc)
         # The dispatcher's already-built (grouped/fused) graph is
@@ -398,6 +397,9 @@ class _Worker:
         # installed before populate: active ids resolve through them.
         self.host.overrides = dict(overrides or {})
         self.host.populate(self.pg.active_components)
+        # Fresh mirrors catch up on the parameter requests that reached
+        # their definitions before this worker existed (a respawn).
+        apply_replay(self.host.live, replay or {})
         #: (stream name, iteration) -> live value produced or mapped by
         #: this worker; lets a lease reference data already here by name
         #: only.  Evicted below the dispatcher's iteration watermark.
@@ -406,41 +408,6 @@ class _Worker:
         self.current_node: str = ""
         #: wall seconds the current job spent waiting on dispatcher RPCs
         self.rpc_wait = 0.0
-
-    def _make_pg(self, option_states: Mapping[str, bool]) -> ProgramGraph:
-        """Rebuild the graph after a splice — the dispatcher's pipeline.
-
-        Must match :meth:`ProcessRuntime._make_pg` step for step (format
-        solve, converter insertion, grouping, fusion): both sides derive
-        the post-splice graph independently from the option states, and
-        node ids, overrides and the interner table must agree.
-        """
-        pg = self.program.build_graph(option_states)
-        from repro.analysis.formats import (
-            auto_insert_converters,
-            runtime_expectations,
-            solve_formats_or_raise,
-        )
-
-        solution = solve_formats_or_raise(self.program, pg)
-        expectations = runtime_expectations(self.program, pg, solution=solution)
-        pg, overrides, expectations = auto_insert_converters(
-            self.program, pg, self.registry, expectations, solution
-        )
-        self.host.overrides = overrides
-        if self.group_chains:
-            from repro.hinch.grouping import group_linear_chains
-
-            pg = group_linear_chains(pg)
-        if self.fuse:
-            from repro.hinch.fusion import fuse_chains
-
-            pg, _ = fuse_chains(
-                pg, self.program, self.registry, expectations,
-                self.fuse_backend, parallel_headroom=self.fuse_headroom,
-            )
-        self._fused_caches = {}
-        return pg
 
     # -- control pipe --------------------------------------------------------
 
@@ -481,45 +448,39 @@ class _Worker:
     def _handle_control(self, msg: tuple[Any, ...]) -> None:
         tag = msg[0]
         if tag == "reconfigure":
-            _, manager, request = msg
-            self._reconfig_log.append((manager, request))
-            for member in self.program.managers[manager].members:
-                component = self.host.live.get(member)
-                if component is not None:
-                    component.reconfigure(request)
+            _, instance_ids, request = msg
+            for instance_id in instance_ids:
+                self.host.live[instance_id].reconfigure(request)
         elif tag == "splice":
-            # Extended form carries the auto-tuner's cumulative slice
-            # overrides and the current fusion headroom; the two-element
-            # form (no auto-tuning) leaves both unchanged.
-            if len(msg) >= 4:
-                overrides = dict(msg[2])
-                self.fuse_headroom = msg[3]
-                if overrides != self.slice_overrides:
-                    from repro.core.reslice import reslice
+            # The dispatcher's post-splice option states, the auto-tuner's
+            # cumulative slice overrides, the fusion headroom, and the
+            # parameter requests fresh mirrors must replay.
+            _, states, overrides, self.fuse_headroom, replay = msg
+            if overrides != self.slice_overrides:
+                from repro.core.reslice import reslice
 
-                    self.slice_overrides = overrides
-                    self.program = (
-                        reslice(self.program_base, overrides)
-                        if overrides else self.program_base
-                    )
-                    self.host.program = self.program
-            new_pg = self._make_pg(msg[1])
-            added, _ = self.host.splice(new_pg.active_components, {})
-            # Mirrors a re-slice created (or rebuilt) fresh start from
-            # their instance descriptors and must catch up on every
-            # dynamic request their manager broadcast before they
-            # existed — exactly the respawn replay, scoped to them.
-            if added:
-                created = set(added)
-                for manager, request in self._reconfig_log:
-                    for member in self.program.managers[manager].members:
-                        if member in created:
-                            self.host.live[member].reconfigure(request)
-            self.pg = new_pg
+                self.slice_overrides = overrides
+                self.program = (
+                    reslice(self.program_base, overrides)
+                    if overrides else self.program_base
+                )
+                self.host.program = self.program
+            # Same build the dispatcher ran: node ids, overrides and the
+            # interner table must agree on both ends.
+            config = build_configuration(
+                self.program, self.registry, states,
+                group_chains=self.group_chains, fuse=self.fuse,
+                fuse_headroom=self.fuse_headroom,
+            )
+            self.host.overrides = config.overrides
+            self._fused_caches = {}
+            self.host.splice(config.pg.active_components, {})
+            apply_replay(self.host.live, replay)
+            self.pg = config.pg
             # Same table the dispatcher derives from its own rebuild;
             # control messages themselves are never interned, so the
             # swap cannot race the splice that carries it.
-            self.interner.set_table(NameInterner.names_of(new_pg))
+            self.interner.set_table(NameInterner.names_of(config.pg))
         else:  # pragma: no cover - protocol error
             raise SchedulingError(f"worker got unexpected message {tag!r}")
 
@@ -700,14 +661,14 @@ def _worker_entry(
     worker_id: int,
     overrides: Mapping[str, ComponentInstance] | None = None,
     fuse: bool = False,
-    fuse_backend: str = "numpy",
     program_base: Program | None = None,
     slice_overrides: Mapping[str, int] | None = None,
     fuse_headroom: int | None = None,
+    replay: Mapping[str, tuple[str, ...]] | None = None,
 ) -> None:
     _Worker(conn, program, registry, pg, group_chains, worker_id,
-            overrides, fuse, fuse_backend, program_base, slice_overrides,
-            fuse_headroom).main()
+            overrides, fuse, program_base, slice_overrides, fuse_headroom,
+            replay).main()
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +702,7 @@ class _Lease:
         self.done = 0
 
 
-class ProcessRuntime:
+class ProcessRuntime(Coordinator):
     """Run a Program on worker processes with real parallel execution.
 
     Drop-in for :class:`~repro.hinch.runtime.ThreadedRuntime` (``workers``
@@ -789,7 +750,6 @@ class ProcessRuntime:
         option_states: Mapping[str, bool] | None = None,
         group_chains: bool = False,
         fuse: bool = False,
-        fuse_backend: str = "numpy",
         batch: int = 1,
         watchdog: float | None = None,
         max_retries: int = 2,
@@ -815,25 +775,12 @@ class ProcessRuntime:
             )
         if objective == "deadline" and deadline_ms is None:
             raise SchedulingError("objective 'deadline' needs deadline_ms")
-        self.program = program
-        self.registry = registry
         self.workers = workers
         self.batch = batch
-        self.pipeline_depth = pipeline_depth
-        self.max_iterations = max_iterations
-        self.group_chains = group_chains
-        self.fuse = fuse
-        self.fuse_backend = fuse_backend
-        self.fusion_report: FusionReport | None = None
         self.watchdog = watchdog
         self.max_retries = max_retries
         self.respawn = respawn
         self.fault_injector = coerce_injector(faults)
-        self.broker = EventBroker()
-        self.pool = SharedPlanePool(shared=True)
-        self.streams = StreamStore(self.pool)
-        self.tracer = Tracer(enabled=trace)
-        self.host = ComponentHost(program, registry)
         try:
             self._cores = len(os.sched_getaffinity(0))
         except (AttributeError, OSError):
@@ -850,27 +797,18 @@ class ProcessRuntime:
             min(workers, self._cores) if fuse else None
         )
 
-        self.pg: ProgramGraph = self._make_pg(program, option_states)
+        super().__init__(
+            program, registry, pipeline_depth=pipeline_depth,
+            max_iterations=max_iterations, trace=trace,
+            option_states=option_states, group_chains=group_chains,
+            fuse=fuse, pool=SharedPlanePool(shared=True),
+        )
         #: control-pipe pickler; workers derive the identical table from
         #: the same graph (forked or rebuilt), so name strings travel as
         #: small integer codes
         self.interner = NameInterner(NameInterner.names_of(self.pg))
         self._plain = NameInterner()
-        self._target_states: dict[str, bool] = dict(self.pg.option_states)
-        self._precreated: dict[str, Component] = {}
-        self.host.populate(self.pg.active_components)
-        self.managers = {
-            qname: ManagerRuntime(info, self.broker, self)
-            for qname, info in program.managers.items()
-        }
-        self.scheduler = DataflowScheduler(
-            self.pg,
-            pipeline_depth=pipeline_depth,
-            max_iterations=max_iterations,
-            hooks=self,
-        )
         self.queue = JobQueue()
-        self.reconfig_log: list[tuple[int, dict[str, bool]]] = []
         self._worker_pool_stats = {k: 0 for k in _WORKER_STAT_KEYS}
         self._ctx: Any = None
         #: slot -> control pipe / process handle (None until spawned;
@@ -895,9 +833,6 @@ class ProcessRuntime:
         self._attempts: dict[tuple[int, str], int] = {}
         #: (iteration, node_id) -> worker incarnations that failed it
         self._excluded: dict[tuple[int, str], set[int]] = {}
-        #: parameter reconfigurations already broadcast, replayed to
-        #: respawned workers so their fresh mirrors catch up
-        self._sent_reconfigs: list[tuple[str, str]] = []
         #: dispatched task jobs (1-based), the fault injector's clock
         self._dispatched_tasks = 0
         self._respawns = 0
@@ -951,40 +886,6 @@ class ProcessRuntime:
             self._controller = self._init_autotune(
                 objective, deadline_ms, autotune_window, option_states
             )
-
-    def _make_pg(
-        self, program: Program, option_states: Mapping[str, bool] | None
-    ) -> ProgramGraph:
-        pg = program.build_graph(option_states)
-        # Reconciled port formats become the streams' authoritative buffer
-        # expectations; recomputed per configuration so a splice installs
-        # the new solution.  The same pipeline runs worker-side after a
-        # splice (:meth:`_Worker._make_pg`) — keep the steps in lockstep.
-        from repro.analysis.formats import (
-            auto_insert_converters,
-            runtime_expectations,
-            solve_formats_or_raise,
-        )
-
-        solution = solve_formats_or_raise(program, pg)
-        expectations = runtime_expectations(program, pg, solution=solution)
-        pg, overrides, expectations = auto_insert_converters(
-            program, pg, self.registry, expectations, solution
-        )
-        self.host.overrides = overrides
-        self.streams.set_expectations(expectations)
-        if self.group_chains:
-            from repro.hinch.grouping import group_linear_chains
-
-            pg = group_linear_chains(pg)
-        if self.fuse:
-            from repro.hinch.fusion import fuse_chains
-
-            pg, self.fusion_report = fuse_chains(
-                pg, program, self.registry, expectations, self.fuse_backend,
-                parallel_headroom=self._fuse_headroom,
-            )
-        return pg
 
     # -- autotune ------------------------------------------------------------
 
@@ -1234,7 +1135,7 @@ class ProcessRuntime:
     # -- SchedulerHooks ------------------------------------------------------
 
     def on_iteration_complete(self, iteration: int) -> None:
-        self.streams.release_iteration(iteration)
+        super().on_iteration_complete(iteration)
         # The planes behind these slots are back on the free lists, so
         # worker-resident views of them are no longer referenceable.
         self._resident.pop(iteration, None)
@@ -1243,9 +1144,7 @@ class ProcessRuntime:
             if self._win_iters >= self._controller.config.window:
                 self._close_window()
 
-    def on_reconfigure(
-        self, plans: list[ReconfigPlan], resume_iteration: int
-    ) -> ProgramGraph:
+    def _before_splice(self, resume_iteration: int) -> None:
         # Auto-tune decisions piggyback on the quiescent splice: resize
         # the pool / retune the batch / re-slice *before* the graph
         # rebuild so the new shape and the new fusion headroom are what
@@ -1253,28 +1152,8 @@ class ProcessRuntime:
         pending, self._pending_autotune = self._pending_autotune, []
         for decision in pending:
             self._apply_autotune(decision, resume_iteration)
-        states = dict(self.pg.option_states)
-        for plan in plans:
-            states.update(plan.changes)
-        new_pg = self._make_pg(self.program, states)
-        added, _ = self.host.splice(
-            new_pg.active_components, self._precreated
-        )
-        for component in self._precreated.values():
-            component.teardown()
-        self._precreated.clear()
-        # Mirrors a re-slice created (or rebuilt) fresh catch up on the
-        # dynamic reconfigure history — same replay a respawned worker
-        # gets.
-        if added and self._sent_reconfigs:
-            created = set(added)
-            for manager, request in self._sent_reconfigs:
-                for member in self.program.managers[manager].members:
-                    if member in created:
-                        self.host.live[member].reconfigure(request)
-        self.pg = new_pg
-        self._target_states = dict(states)
-        self.reconfig_log.append((resume_iteration, dict(states)))
+
+    def _after_splice(self, added, removed, replay) -> None:
         # Node identities and stream geometries may change across the
         # splice: drop everything learned about the old graph.  (Resident
         # slots are already gone — reconfiguration happens at quiescence,
@@ -1288,56 +1167,22 @@ class ProcessRuntime:
         # is already the new graph, so a worker respawned by a send
         # failure here forks with the post-splice option states baked in.
         self._broadcast(
-            ("splice", dict(states), dict(self._slice_overrides),
-             self._fuse_headroom)
+            ("splice", dict(self.pg.option_states),
+             dict(self._slice_overrides), self._fuse_headroom, replay)
         )
         # Intern table follows the graph.  Control messages (including
         # the splice itself) are never interned and no lease or RPC can
         # be in flight at quiescence, so nothing encoded with the old
         # table remains undecoded when either side swaps.
-        self.interner.set_table(NameInterner.names_of(new_pg))
-        return new_pg
+        self.interner.set_table(NameInterner.names_of(self.pg))
 
-    # -- ReconfigController --------------------------------------------------
-
-    def target_option_state(self, option_qname: str) -> bool:
-        return self._target_states[option_qname]
-
-    def apply_option_changes(self, manager: str, changes: dict[str, bool]) -> None:
-        effective = {
-            opt: state
-            for opt, state in changes.items()
-            if self._target_states.get(opt) != state
-        }
-        if not effective:
-            return
-        self._target_states.update(effective)
-        for opt, state in effective.items():
-            if state:
-                for member in self.program.options[opt].members:
-                    if (
-                        member not in self.host.live
-                        and member not in self._precreated
-                    ):
-                        self._precreated[member] = self.host.create(member)
-        self.scheduler.request_reconfig(
-            ReconfigPlan(manager=manager, changes=effective)
-        )
-
-    def send_reconfigure_request(self, manager: str, request: str) -> None:
-        # Dispatcher mirrors track parameter state (they are what
-        # RunResult.components exposes) ...
-        for member in self.program.managers[manager].members:
-            component = self.host.live.get(member)
-            if component is not None:
-                component.reconfigure(request)
-        # ... and every worker applies the request to its own mirrors,
-        # possibly mid-job of an unrelated component (same concurrency
-        # the threaded backend exhibits at nodes > 1).  Recorded first:
-        # a worker respawned mid-broadcast receives it via replay, and
-        # future respawns need the full history to rebuild mirror state.
-        self._sent_reconfigs.append((manager, request))
-        self._broadcast(("reconfigure", manager, request))
+    def _deliver_request(self, instance_ids: list[str], request: str) -> None:
+        # Every worker applies the request to its own mirrors, possibly
+        # mid-job of an unrelated component (same concurrency the
+        # threaded backend exhibits at nodes > 1).  The coordinator has
+        # already recorded it: a worker respawned mid-broadcast receives
+        # it by replay.
+        self._broadcast(("reconfigure", tuple(instance_ids), request))
 
     def _broadcast(self, msg: tuple[Any, ...]) -> None:
         """Send ``msg`` to every live worker, absorbing worker death.
@@ -1375,12 +1220,6 @@ class ProcessRuntime:
         raw = self._conns[slot].recv_bytes()
         coder = self.interner if raw[:1] == b"\x01" else self._plain
         return coder.loads(raw[1:])
-
-    # -- event injection -----------------------------------------------------
-
-    def post_event(self, queue: str, name: str, payload: Any = None) -> None:
-        """Inject an external (user) event."""
-        self.broker.post(queue, Event(name=name, payload=payload))
 
     # -- dispatch ------------------------------------------------------------
 
@@ -2027,9 +1866,9 @@ class ProcessRuntime:
 
         A respawned worker forks from *current* dispatcher state, so it
         inherits the dispatcher's present (already-grouped) graph
-        outright; parameter reconfigurations broadcast earlier are
-        replayed from the log because worker mirrors are built fresh
-        from instance descriptors.
+        outright; its mirrors are built fresh from instance descriptors
+        and replay the parameter requests that reached them (the
+        coordinator's replay rule).
         Fork children exit via ``os._exit`` (multiprocessing bootstrap),
         so the dispatcher pool copy they inherit never runs finalizers —
         a respawn cannot unlink live shared segments.
@@ -2043,8 +1882,9 @@ class ProcessRuntime:
             target=_worker_entry,
             args=(child, self.program, self.registry, self.pg,
                   self.group_chains, slot, dict(self.host.overrides),
-                  self.fuse, self.fuse_backend, self._program_base,
-                  dict(self._slice_overrides), self._fuse_headroom),
+                  self.fuse, self._program_base,
+                  dict(self._slice_overrides), self._fuse_headroom,
+                  self._replay_for(self.host.live)),
             name=f"hinch-proc-worker-{slot}.{incarnation}",
             daemon=True,
         )
@@ -2056,9 +1896,6 @@ class ProcessRuntime:
         self._live.add(slot)
         self._idle.add(slot)
         self._spawned_slots.add(slot)
-        for manager, request in self._sent_reconfigs:
-            self._send_to(slot, ("reconfigure", manager, request),
-                          interned=False)
 
     def _record_fault(
         self,

@@ -21,12 +21,7 @@ from repro.apps import build_blur, build_jpip, build_pip, make_program
 from repro.components.registry import default_ports, default_registry
 from repro.core import expand, parse_string
 from repro.hinch import ProcessRuntime, ThreadedRuntime
-from repro.hinch.fusion import (
-    FusedChain,
-    fuse_chains,
-    numba_available,
-    resolve_backend,
-)
+from repro.hinch.fusion import FusedChain, fuse_chains
 from repro.hinch.grouping import find_linear_chains
 from repro.hinch.shm import NameInterner
 
@@ -92,26 +87,6 @@ def test_refusals_are_reported_per_stream():
     _, (pg, report) = _fused_graph(_jpip_program())
     # sliced IDCT reads the unsliced decoder output: not provable 1:1
     assert "mixed sliced/unsliced endpoints" in report.refused["bg_coeffs_y"]
-
-
-def test_backend_resolution_and_fallback():
-    assert resolve_backend("numpy") == "numpy"
-    with pytest.raises(ValueError, match="unknown fuse backend"):
-        resolve_backend("cuda")
-    if not numba_available():
-        assert resolve_backend("numba") == "numpy"
-
-
-def test_requested_numba_recorded_even_when_absent():
-    program = _jpip_program()
-    pg = program.build_graph()
-    solution = check_formats(DiagnosticBag(), program, pg)
-    expectations = runtime_expectations(program, pg, solution=solution)
-    _, report = fuse_chains(pg, program, REG, expectations, "numba")
-    assert report.requested_backend == "numba"
-    assert report.backend in ("numpy", "numba")
-    if not numba_available():
-        assert report.backend == "numpy"
 
 
 # -- grouping refusals (shared chain-eligibility rules) ----------------------
@@ -180,14 +155,12 @@ def _assert_same(a, b):
 
 
 @pytest.mark.parametrize("app", ["pip", "blur", "jpip"])
-@pytest.mark.parametrize("fuse_backend", ["numpy", "numba"])
-def test_threaded_fused_identical(app, fuse_backend):
+def test_threaded_fused_identical(app):
     program = make_program(_spec(app), name=app)
     ref = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
                           max_iterations=4).run()
     fused_rt = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                               max_iterations=4, fuse=True,
-                               fuse_backend=fuse_backend)
+                               max_iterations=4, fuse=True)
     fused = fused_rt.run()
     assert fused_rt.fusion_report is not None
     _assert_same(_collected(ref, app), _collected(fused, app))
@@ -202,19 +175,6 @@ def test_process_fused_identical(app, batch):
     fused = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
                            max_iterations=4, batch=batch, fuse=True).run()
     _assert_same(_collected(ref, app), _collected(fused, app))
-
-
-def test_process_fused_numba_request_falls_back_identically():
-    program = make_program(_spec("jpip"), name="jpip1")
-    ref = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                          max_iterations=4).run()
-    rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=2,
-                        max_iterations=4, fuse=True, fuse_backend="numba")
-    fused = rt.run()
-    assert rt.fusion_report is not None
-    if not numba_available():
-        assert rt.fusion_report.backend == "numpy"
-    _assert_same(_collected(ref, "jpip"), _collected(fused, "jpip"))
 
 
 def test_fused_source_decode_skips_the_bitstream():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.core import AppBuilder, expand
-from repro.errors import SimulationError
+from repro.components.registry import default_ports, default_registry
+from repro.core import AppBuilder, expand, parse_file
+from repro.errors import SimulationError, StreamFormatError
 from repro.hinch import ThreadedRuntime
 from repro.spacecake import CostParams, SimRuntime
 
@@ -234,3 +237,15 @@ def test_reconfig_overhead_grows_with_nodes():
     o1 = overhead(1)
     o4 = overhead(4)
     assert o4 >= o1 - 0.02  # allow tiny noise from scheduling detail
+
+
+@pytest.mark.parametrize("execute", [False, True])
+def test_format_mismatch_rejected_at_construction(execute):
+    """The simulator runs the shared build, format solve included: an
+    X501 spec fails at construction, as on the other backends."""
+    fixture = (Path(__file__).resolve().parents[1] / "analysis" / "fixtures"
+               / "format_mismatch.xml")
+    program = expand(parse_file(fixture), default_ports(), name="mismatch")
+    with pytest.raises(StreamFormatError, match="X501"):
+        SimRuntime(program, default_registry(), nodes=1, max_iterations=2,
+                   execute=execute)
