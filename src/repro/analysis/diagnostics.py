@@ -116,7 +116,7 @@ CODES: dict[str, CodeInfo] = _catalogue(
     ("X306", _W, "concurrency", "forwarded event targets a queue no manager polls"),
     ("X307", _E, "concurrency", "reconfigured option state fails to splice"),
     # -- X4xx: performance lint -------------------------------------------
-    ("X401", _I, "performance", "linear chain eligible for grouping fusion"),
+    ("X401", _I, "performance", "linear chain eligible for chain fusion"),
     ("X402", _W, "performance", "slice count does not divide the frame height"),
     ("X403", _I, "performance", "component class has no cost profile"),
     ("X404", _W, "performance", "slice replication exceeds the machine node count"),

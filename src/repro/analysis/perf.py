@@ -1,8 +1,8 @@
 """Performance lint passes (codes ``X4xx``).
 
 These never indicate a broken program — they point at cycles left on the
-table: producer/consumer chains the scheduler could fuse for cache reuse
-(X401, the ``hinch.grouping`` optimization of paper §4.1), slice counts
+table: producer/consumer chains the runtimes could fuse into one job
+(X401, chain fusion, the optimization of paper §4.1), slice counts
 that split frames unevenly and unbalance the data-parallel copies (X402),
 component classes the SpaceCAKE cost model can only price with its flat
 fallback constant (X403), which degrades prediction fidelity, and slice
@@ -30,14 +30,27 @@ __all__ = [
 def check_fusable_chains(
     bag: DiagnosticBag, program: Program, pg: ProgramGraph
 ) -> None:
-    """X401: maximal linear component chains groupable into one job."""
+    """X401: maximal linear component chains fusable into one job.
+
+    Chain fusion merges producer→consumer pairs, so a chain is reported
+    only when a stream joins each consecutive pair; a graph-only edge
+    (a source followed by an event timer) is not a fusion opportunity.
+    """
+    joined = {
+        (w.instance_id, r.instance_id)
+        for table in pg.streams.values()
+        for w in table.writers
+        for r in table.readers
+    }
     for chain in find_linear_chains(pg.graph, pg.crossdep_nodes):
+        if not all(pair in joined for pair in zip(chain, chain[1:])):
+            continue
         first = program.components.get(chain[0])
         bag.report(
             "X401",
             "linear chain " + " -> ".join(chain) + " can be fused into one "
-            "scheduled job (run with group_chains=True / hinch.grouping) to "
-            "keep the intermediate stream in cache",
+            "scheduled job (run with --fuse) to keep the intermediate "
+            "stream in cache",
             line=first.line if first is not None else None,
             where=chain[0],
         )

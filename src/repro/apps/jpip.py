@@ -232,8 +232,8 @@ def build_jpip(
     stages use the block-aligned count implied by ``pip_height``/16-row
     slices.  ``grouped_stages`` builds the paper-§4.1 "scheduled as one
     entity" variant: each pip's Y-field IDCT and downscale share a slice
-    copy (run ``group_chains=True`` on a runtime to merge them into one
-    job); incompatible with ``reconfigurable``.
+    copy (chain fusion on a runtime, or grouping on the simulator, merges
+    them into one job); incompatible with ``reconfigurable``.
     """
     if n_pips < 1:
         raise XSPCLError(f"need at least one picture-in-picture, got {n_pips}")

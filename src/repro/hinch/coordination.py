@@ -7,7 +7,7 @@ the SpaceCAKE simulator — must agree on lives here, once:
 
 * :func:`build_configuration` — the one configuration build: graph
   instantiation, format solving, buffer expectations, X506 converter
-  insertion, §4.1 grouping and chain fusion;
+  insertion and chain fusion;
 * :class:`ComponentHost` — live component objects and splicing;
 * :class:`Coordinator` — the base of the runtimes.  It owns the broker,
   streams, host, current graph, target option states, pre-created
@@ -47,7 +47,6 @@ from repro.core.program import ComponentInstance, Program, ProgramGraph
 from repro.hinch.component import Component
 from repro.hinch.events import Event, EventBroker
 from repro.hinch.fusion import FusionReport, fuse_chains
-from repro.hinch.grouping import group_linear_chains
 from repro.hinch.manager import ManagerRuntime
 from repro.hinch.scheduler import DataflowScheduler, ReconfigPlan
 from repro.hinch.stream import StreamStore
@@ -80,7 +79,6 @@ def build_configuration(
     registry: Mapping[str, type[Component]],
     option_states: Mapping[str, bool] | None,
     *,
-    group_chains: bool = False,
     fuse: bool = False,
     fuse_headroom: int | None = None,
 ) -> Configuration:
@@ -97,8 +95,6 @@ def build_configuration(
     pg, overrides, expectations = auto_insert_converters(
         program, pg, registry, expectations, solution
     )
-    if group_chains:
-        pg = group_linear_chains(pg)
     fusion = None
     if fuse:
         pg, fusion = fuse_chains(
@@ -210,7 +206,6 @@ class Coordinator:
         max_iterations: int,
         trace: bool,
         option_states: Mapping[str, bool] | None,
-        group_chains: bool,
         fuse: bool = False,
         pool: Any = None,
     ) -> None:
@@ -218,7 +213,6 @@ class Coordinator:
         self.registry = registry
         self.pipeline_depth = pipeline_depth
         self.max_iterations = max_iterations
-        self.group_chains = group_chains
         self.fuse = fuse
         self.fusion_report: FusionReport | None = None
         self.broker = EventBroker()
@@ -249,8 +243,7 @@ class Coordinator:
         """Build and install one configuration on host and streams."""
         config = build_configuration(
             self.program, self.registry, option_states,
-            group_chains=self.group_chains, fuse=self.fuse,
-            fuse_headroom=self._fuse_headroom,
+            fuse=self.fuse, fuse_headroom=self._fuse_headroom,
         )
         self.host.overrides = config.overrides
         self.streams.set_expectations(config.expectations)

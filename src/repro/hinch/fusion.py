@@ -1,12 +1,11 @@
 """Chain fusion: compile producer→consumer chains into single-dispatch kernels.
 
-The §4.1 grouping rewrite (:mod:`repro.hinch.grouping`) merges *graph
-linear* chains — producer with one successor meeting consumer with one
-predecessor.  That shape is rare in real pipelines: sliced stages meet at
-barrier nodes, so the runtime bench shows per-job Python dispatch (not
-pixels) dominating wall time.  This module is the grouping idea taken to
-its logical end, a **chain-fusion compiler** that runs at build time and
-again at every reconfiguration splice:
+Paper §4.1 proposes scheduling a producer and its consumer as one entity
+so the consumer finds the data still in the cache.  On the threaded and
+process runtimes this module is that merge (``--fuse``): a
+**chain-fusion compiler** that runs at build time and again at every
+reconfiguration splice.  Unlike a graph-linear rewrite it also merges
+sliced stages that meet at barrier nodes:
 
 1. For every stream it asks whether each *reader copy* provably consumes
    only what its *paired writer copy* produced.  Unsliced 1:1 streams
@@ -56,9 +55,8 @@ __all__ = [
 class FusedChain(tuple):
     """Execution-ordered members of one fused kernel.
 
-    A tuple subclass so every existing "grouped node" code path (lease
-    assembly, input gathering, checkpoint iteration) keeps working on the
-    members, while fused execution recognizes the richer type:
+    A tuple of the member instances (lease assembly, input gathering and
+    checkpointing iterate them) that also carries:
 
     ``internal``
         resolved stream name -> ``(shape, dtype)`` geometry from the
@@ -93,8 +91,6 @@ class FusionReport:
     chains: tuple[FusedChain, ...] = ()
     #: resolved stream names proven internal to some chain
     internal_streams: tuple[str, ...] = ()
-    #: derived implementation families: fused family name -> wrapper class
-    derived: dict[str, type[Component]] = field(default_factory=dict)
     #: chain node ids dropped to keep the rewritten graph acyclic
     dropped: tuple[str, ...] = ()
     #: stream name -> human-readable refusal reason (first one found)
@@ -137,23 +133,11 @@ def _approve_stream(
     if not table.writers or not table.readers:
         return "missing endpoint"
 
-    def inst_of(endpoint) -> ComponentInstance | None:
-        iid = endpoint.instance_id
-        if iid not in graph:
-            return None  # already merged into a grouped node
-        node = graph.node(iid)
-        if node.kind != "task" or not isinstance(
-            node.payload, ComponentInstance
-        ):
-            return None
-        return node.payload
-
-    writer_insts = [inst_of(w) for w in table.writers]
-    reader_insts = [inst_of(r) for r in table.readers]
-    if any(i is None for i in writer_insts + reader_insts):
-        return "endpoint is not a standalone task node"
-    # chains must not cross control nodes (kind filter above), crossdep
-    # consumers, or option-configuration boundaries
+    # stream endpoints are components, each its own task node
+    writer_insts = [graph.node(w.instance_id).payload for w in table.writers]
+    reader_insts = [graph.node(r.instance_id).payload for r in table.readers]
+    # chains must not cross crossdep consumers, manager or
+    # option-configuration boundaries
     all_insts = writer_insts + reader_insts
     if any(i.instance_id in pg.crossdep_nodes for i in all_insts):
         return "crossdep endpoint"
@@ -291,16 +275,6 @@ def _rewrite(
             member_of[m] = cid
     chain_members = dict(zip(chain_ids, chains))
 
-    # locate: instance id -> current node id (grouped nodes hold tuples)
-    locate: dict[str, str] = {}
-    for node in graph:
-        payload = node.payload
-        if isinstance(payload, ComponentInstance):
-            locate[payload.instance_id] = node.node_id
-        elif isinstance(payload, tuple):
-            for m in payload:
-                locate[m.instance_id] = node.node_id
-
     fused_payloads: dict[str, FusedChain] = {}
     new = TaskGraph()
     for node in graph:
@@ -337,11 +311,6 @@ def _rewrite(
                 weight=sum(graph.node(m).weight for m in chain_members[cid]),
             )
 
-    def mapped(instance_id: str) -> str | None:
-        nid = locate.get(instance_id, instance_id)
-        nid = member_of.get(nid, nid)
-        return nid if nid in new else None
-
     # structural edges (series/parallel/crossdep/manager), barriers elided
     for u, v in graph.edges():
         if graph.node(u).kind == "barrier" or graph.node(v).kind == "barrier":
@@ -361,8 +330,8 @@ def _rewrite(
         else:
             pairlist = entry[0]
         for w_id, r_id in pairlist:
-            a, b = mapped(w_id), mapped(r_id)
-            if a is not None and b is not None and a != b:
+            a, b = member_of.get(w_id, w_id), member_of.get(r_id, r_id)
+            if a != b:
                 new.add_edge(a, b)
 
     if not new.is_acyclic():
@@ -427,10 +396,6 @@ def fuse_chains(
     report.internal_streams = tuple(
         sorted({name for c in fused for name in c.internal})
     )
-    for chain in fused:
-        fam_name, cls = _derived_family(chain, registry, pg)
-        if fam_name not in report.derived:
-            report.derived[fam_name] = cls
 
     fused_pg = ProgramGraph(
         graph=new_graph,
@@ -441,55 +406,6 @@ def fuse_chains(
         crossdep_nodes=pg.crossdep_nodes,
     )
     return fused_pg, report
-
-
-def _derived_family(
-    chain: FusedChain,
-    registry: Mapping[str, type[Component]],
-    pg: ProgramGraph,
-) -> tuple[str, type[Component]]:
-    """Build the derived implementation family for one fused chain.
-
-    The family name concatenates the member class names; the wrapper
-    class exposes the chain's *external* contract — every member port
-    whose stream survives fusion, qualified ``<class>[<i>].<port>`` —
-    so ``run --impl``/lint introspection still sees the abstract chain.
-    """
-    fam_name = GROUP_SEPARATOR.join(m.class_name for m in chain)
-    inputs: list[str] = []
-    outputs: list[str] = []
-    formats: dict[str, str] = {}
-    for i, member in enumerate(chain):
-        spec = registry[member.class_name].ports
-        for port, raw in member.streams.items():
-            resolved_name = pg.resolve_stream(raw)
-            if resolved_name in chain.internal:
-                continue
-            qualified = f"{member.class_name}[{i}].{port}"
-            if spec.is_output(port):
-                outputs.append(qualified)
-            else:
-                inputs.append(qualified)
-            decl = spec.formats.get(port)
-            if decl is not None:
-                formats[qualified] = decl
-    from repro.core.ports import PortSpec
-
-    wrapper = type(
-        "Fused_" + fam_name.replace(GROUP_SEPARATOR, "_"),
-        (Component,),
-        {
-            "ports": PortSpec(
-                inputs=tuple(inputs),
-                outputs=tuple(outputs),
-                open_params=True,
-                formats=formats,
-            ),
-            "__doc__": f"Derived fused family {fam_name!r} (introspection "
-            "only; execution runs the member kernels).",
-        },
-    )
-    return fam_name, wrapper
 
 
 # ---------------------------------------------------------------------------

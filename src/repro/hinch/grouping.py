@@ -6,46 +6,22 @@ components in this group will then be run immediately after the
 producers, when the data is still in the cache.  However, this approach
 reduces the amount of parallelism in the application ..."
 
-:func:`group_linear_chains` implements that future version: it rewrites a
-built task graph, merging *linear chains* of task nodes (single successor
-meets single predecessor, both plain components with the same slice
-assignment) into one composite node.  The runtimes execute a composite
-node's members back-to-back in one job on one core — so in the SpaceCAKE
-model the intermediate stream's cache keys are written and immediately
-re-read by the same core (L1 hits), reproducing exactly the reuse the
-paper predicts, while the merged node makes the lost parallelism visible
-to the scheduler.
+:func:`group_linear_chains` rewrites a built task graph, merging *linear
+chains* of task nodes (single successor meets single predecessor, both
+plain components with the same slice assignment) into one composite
+node whose members run back-to-back in one job on one core.  Only the
+SpaceCAKE simulator applies it (the ABL-1 "grouped" column of
+:func:`repro.bench.figures.ablation_fusion`): the intermediate stream's
+cache keys are written and immediately re-read by the same core,
+reproducing the reuse the paper predicts, while the merged node shows
+the lost parallelism.  The threaded and process runtimes merge producer
+and consumer through chain fusion (:mod:`repro.hinch.fusion`,
+``--fuse``) instead.
 
-Both backends accept ``group_chains=True``; grouping is re-applied after
-every reconfiguration splice.
-
-The process backend's *speculative job leases* (``--batch N``,
-``DataflowScheduler.extract_followons``) are the dynamic counterpart of
-this static rewrite: a consumer whose only missing producer is an
-earlier member of the same lease runs immediately after it on the same
-worker — the §4.1 producer→consumer locality — but the pairing is
-decided per dispatch, not baked into the graph, so the parallelism the
-quote worries about is only forfeited when no other worker could have
-taken the consumer anyway (the lease is retracted job-by-job if the
-worker dies, and follow-ons are skipped while idle workers could use
-them).  Grouping trades parallelism for locality statically and
-visibly; batching recovers most of the locality with no graph change.
-
-Chain *fusion* (:mod:`repro.hinch.fusion`, ``--fuse``) is the third and
-strongest reading of the §4.1 quote: where grouping merges chains that
-are linear *in the graph* (rare once sliced stages meet at barriers),
-fusion proves through the components' row-access contracts that each
-consumer copy reads only its paired producer copy's band, merges the
-pair even though the graph shows a barrier between the stages, and
-compiles the chain so the intermediate plane never leaves the worker —
-not merely "still in the cache" but never in the stream store at all.
-
-A chain must never cross a *control* node (managers, barriers), a
-*crossdep* consumer (its halo edges encode a sparser ordering than
-producer+consumer), or an *option-configuration* boundary (the members
-would splice at different times): :func:`find_linear_chains` refuses all
-three, so both the §4.1 rewrite and the X401 lint only propose chains
-that every backend can actually schedule as one entity.
+:func:`find_linear_chains` never crosses a *control* node, a *crossdep*
+consumer (its halo edges encode a sparser ordering than
+producer+consumer) or an *option-configuration* boundary (the members
+would splice at different times).
 """
 
 from __future__ import annotations

@@ -213,7 +213,8 @@ class _WorkerStreams:
     job (ndarrays come back as views into shared planes); ``put`` writes
     are packed for the completion message; ``ensure_buffer`` maps the
     shared whole-frame plane all slice copies of this (stream, iteration)
-    write into.  Grouped-chain members see each other's writes locally.
+    write into.  Later members of a fused chain see earlier members'
+    writes locally.
 
     Inputs this worker already holds live — produced by an earlier job of
     the same lease, or resident from a previous lease — arrive as bare
@@ -237,7 +238,7 @@ class _WorkerStreams:
         #: resolved stream name -> Packed, shipped with the completion
         self.outputs: dict[str, Packed] = {}
         #: resolved stream name -> live value (unpacked inputs, local
-        #: writes visible to later members of a grouped chain)
+        #: writes visible to later members of a fused chain)
         self.values: dict[str, Any] = {}
         #: resolved stream name -> shared ensure-buffer view
         self.ensured: dict[str, np.ndarray] = {}
@@ -356,7 +357,6 @@ class _Worker:
         program: Program,
         registry: Mapping[str, type[Component]],
         pg: ProgramGraph,
-        group_chains: bool,
         worker_id: int,
         overrides: Mapping[str, ComponentInstance] | None = None,
         fuse: bool = False,
@@ -368,7 +368,6 @@ class _Worker:
         self.conn = conn
         self.program = program
         self.registry = registry
-        self.group_chains = group_chains
         self.fuse = fuse
         #: the un-resliced Program — re-slices always derive from it so
         #: cumulative overrides stay idempotent; ``program`` itself may
@@ -381,9 +380,9 @@ class _Worker:
         self.fuse_headroom = fuse_headroom
         self.worker_id = worker_id
         self.pool = _RemotePlanePool(self.rpc)
-        # The dispatcher's already-built (grouped/fused) graph is
-        # inherited through fork copy-on-write — rebuilding it here would
-        # add parse/group latency to every spawn and respawn.  A splice
+        # The dispatcher's already-built (fused) graph is inherited
+        # through fork copy-on-write — rebuilding it here would add
+        # build and fusion latency to every spawn and respawn.  A splice
         # rebuilds locally (the new option states arrive by message).
         self.pg = pg
         #: control-pipe pickler sharing the dispatcher's name table
@@ -469,8 +468,7 @@ class _Worker:
             # interner table must agree on both ends.
             config = build_configuration(
                 self.program, self.registry, states,
-                group_chains=self.group_chains, fuse=self.fuse,
-                fuse_headroom=self.fuse_headroom,
+                fuse=self.fuse, fuse_headroom=self.fuse_headroom,
             )
             self.host.overrides = config.overrides
             self._fused_caches = {}
@@ -518,7 +516,7 @@ class _Worker:
         self._apply_fault(fault)
         node = self.pg.graph.node(node_id)
         payload = node.payload
-        instances = payload if isinstance(payload, tuple) else (payload,)
+        instances = payload if isinstance(payload, FusedChain) else (payload,)
         ws = _WorkerStreams(self, iteration, inputs, resident, ensured)
         events: list[tuple[str, Event]] = []
         broker = _RecordingBroker(events)
@@ -657,7 +655,6 @@ def _worker_entry(
     program: Program,
     registry: Mapping[str, type[Component]],
     pg: ProgramGraph,
-    group_chains: bool,
     worker_id: int,
     overrides: Mapping[str, ComponentInstance] | None = None,
     fuse: bool = False,
@@ -666,9 +663,8 @@ def _worker_entry(
     fuse_headroom: int | None = None,
     replay: Mapping[str, tuple[str, ...]] | None = None,
 ) -> None:
-    _Worker(conn, program, registry, pg, group_chains, worker_id,
-            overrides, fuse, program_base, slice_overrides, fuse_headroom,
-            replay).main()
+    _Worker(conn, program, registry, pg, worker_id, overrides, fuse,
+            program_base, slice_overrides, fuse_headroom, replay).main()
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +744,6 @@ class ProcessRuntime(Coordinator):
         max_iterations: int,
         trace: bool = False,
         option_states: Mapping[str, bool] | None = None,
-        group_chains: bool = False,
         fuse: bool = False,
         batch: int = 1,
         watchdog: float | None = None,
@@ -800,8 +795,8 @@ class ProcessRuntime(Coordinator):
         super().__init__(
             program, registry, pipeline_depth=pipeline_depth,
             max_iterations=max_iterations, trace=trace,
-            option_states=option_states, group_chains=group_chains,
-            fuse=fuse, pool=SharedPlanePool(shared=True),
+            option_states=option_states, fuse=fuse,
+            pool=SharedPlanePool(shared=True),
         )
         #: control-pipe pickler; workers derive the identical table from
         #: the same graph (forked or rebuilt), so name strings travel as
@@ -1242,11 +1237,11 @@ class ProcessRuntime(Coordinator):
 
         One ``get`` per (instance, input port), mirroring the threaded
         backend's per-copy ``job.read`` counters.  Streams produced by an
-        earlier member of a grouped chain stay worker-local and are
+        earlier member of a fused chain stay worker-local and are
         skipped.
         """
         payload = node.payload
-        instances = payload if isinstance(payload, tuple) else (payload,)
+        instances = payload if isinstance(payload, FusedChain) else (payload,)
         produced: set[str] = set()
         aliases = self.pg.aliases
         for instance in instances:
@@ -1865,7 +1860,7 @@ class ProcessRuntime(Coordinator):
         """(Re)start the worker in ``slot``.
 
         A respawned worker forks from *current* dispatcher state, so it
-        inherits the dispatcher's present (already-grouped) graph
+        inherits the dispatcher's present (already-fused) graph
         outright; its mirrors are built fresh from instance descriptors
         and replay the parameter requests that reached them (the
         coordinator's replay rule).
@@ -1880,9 +1875,8 @@ class ProcessRuntime(Coordinator):
         self._next_incarnation += 1
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(child, self.program, self.registry, self.pg,
-                  self.group_chains, slot, dict(self.host.overrides),
-                  self.fuse, self._program_base,
+            args=(child, self.program, self.registry, self.pg, slot,
+                  dict(self.host.overrides), self.fuse, self._program_base,
                   dict(self._slice_overrides), self._fuse_headroom,
                   self._replay_for(self.host.live)),
             name=f"hinch-proc-worker-{slot}.{incarnation}",

@@ -71,7 +71,6 @@ class ThreadedRuntime(Coordinator):
         max_iterations: int,
         trace: bool = False,
         option_states: Mapping[str, bool] | None = None,
-        group_chains: bool = False,
         fuse: bool = False,
     ) -> None:
         if nodes < 1:
@@ -87,8 +86,8 @@ class ThreadedRuntime(Coordinator):
         super().__init__(
             program, registry, pipeline_depth=pipeline_depth,
             max_iterations=max_iterations, trace=trace,
-            option_states=option_states, group_chains=group_chains,
-            fuse=fuse, pool=SharedPlanePool(shared=False),
+            option_states=option_states, fuse=fuse,
+            pool=SharedPlanePool(shared=False),
         )
         self.queue = JobQueue()
         self._failure: BaseException | None = None
@@ -120,22 +119,15 @@ class ThreadedRuntime(Coordinator):
                     cache=self._fused_caches.setdefault(job.node_id, {}),
                 )
             else:
-                # Grouped nodes carry a tuple of instances: run them
-                # back-to-back as one scheduled entity (paper §4.1).
-                instances = (
-                    payload if isinstance(payload, tuple) else (payload,)
+                ctx = JobContext(
+                    payload,
+                    job.iteration,
+                    self.streams,
+                    self.broker,
+                    self.pg.aliases,
+                    stop_requester=self._request_stop,
                 )
-                for instance in instances:
-                    component = self.host.live[instance.instance_id]
-                    ctx = JobContext(
-                        instance,
-                        job.iteration,
-                        self.streams,
-                        self.broker,
-                        self.pg.aliases,
-                        stop_requester=self._request_stop,
-                    )
-                    component.run(ctx)
+                self.host.live[payload.instance_id].run(ctx)
         elif node.kind in ("manager_enter", "manager_exit"):
             manager = self.managers[node.payload]
             with self._lock:

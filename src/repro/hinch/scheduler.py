@@ -244,7 +244,7 @@ class DataflowScheduler:
         Given ``lease`` — jobs about to be shipped to one worker — return
         up to ``limit`` additional jobs whose *only* missing dependencies
         are earlier members of the (extended) lease: successors within an
-        iteration (grouped-chain tails, fan-out consumers whose other
+        iteration (chain tails, fan-out consumers whose other
         inputs are already done) and the same node in the next admitted
         iteration (pipeline extension).  Because the queue's readiness
         invariant means a producer and its consumer are never queued

@@ -25,10 +25,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.program import Program
+from repro.core.program import Program, ProgramGraph
 from repro.errors import SimulationError
 from repro.hinch.component import Component, JobContext
 from repro.hinch.coordination import Coordinator
+from repro.hinch.grouping import group_linear_chains
 from repro.hinch.jobqueue import Job
 from repro.hinch.tracing import TraceEvent, Tracer
 from repro.spacecake.cache import CacheStats
@@ -223,10 +224,11 @@ class SimRuntime(Coordinator):
         if machine is not None and machine.nodes != nodes:
             raise SimulationError("nodes and machine.nodes disagree")
         self.cost_model = CostModel(registry, cost_params)
+        self.group_chains = group_chains
         super().__init__(
             program, registry, pipeline_depth=pipeline_depth,
             max_iterations=max_iterations, trace=trace,
-            option_states=option_states, group_chains=group_chains,
+            option_states=option_states,
         )
         self._pending: deque[Job] = deque()  # the central job queue
         self._stall_until = 0.0  # reconfiguration splice window
@@ -263,6 +265,12 @@ class SimRuntime(Coordinator):
         }
 
     # -- coordination hooks -------------------------------------------------------
+
+    def _build(self, option_states: Mapping[str, bool] | None) -> ProgramGraph:
+        # §4.1 grouping (the ABL-1 "grouped" column) exists only here:
+        # it predicts the cache reuse of a producer+consumer entity.
+        pg = super()._build(option_states)
+        return group_linear_chains(pg) if self.group_chains else pg
 
     def on_iteration_complete(self, iteration: int) -> None:
         super().on_iteration_complete(iteration)

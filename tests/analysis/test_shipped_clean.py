@@ -9,6 +9,7 @@ measure exactly that fusion).
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,10 @@ from repro.apps import (
     build_jpip_sequential,
     build_pip,
     build_pip_sequential,
+    make_program,
 )
+from repro.core import parse_file
+from repro.hinch.coordination import build_configuration
 
 EXAMPLES = sorted(
     (Path(__file__).resolve().parents[2] / "examples" / "specs").glob("*.xml")
@@ -37,6 +41,21 @@ def test_example_specs_lint_clean(path, ports, classes):
     assert not [d for d in diagnostics if d.severity.name == "ERROR"]
     unexpected = {d.code for d in diagnostics} - ALLOWED
     assert not unexpected, [d.format() for d in diagnostics]
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_x401_chains_lie_inside_one_fused_chain(path, ports, classes):
+    """X401 proposes only what ``--fuse`` merges on the runtimes."""
+    chains = [
+        re.match(r"linear chain (.+?) can be fused", d.message)[1].split(" -> ")
+        for d in lint_file(path, ports=ports, classes=classes)
+        if d.code == "X401"
+    ]
+    program = make_program(parse_file(path), name=path.stem)
+    fusion = build_configuration(program, classes, None, fuse=True).fusion
+    fused = [{m.instance_id for m in c} for c in fusion.chains]
+    for chain in chains:
+        assert any(set(chain) <= members for members in fused), chain
 
 
 BUILDERS = [

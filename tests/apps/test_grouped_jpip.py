@@ -15,10 +15,16 @@ KW = dict(width=64, height=48, pip_height=48, factor=4, slices=3, frames=2,
           collect=True)
 
 
-def frames_of(spec, *, group_chains=False, iters=3):
+def frames_of(spec, *, fuse=False, iters=3):
     program = make_program(spec, name="jpip")
     rt = ThreadedRuntime(program, REG, nodes=2, pipeline_depth=2,
-                         max_iterations=iters, group_chains=group_chains)
+                         max_iterations=iters, fuse=fuse)
+    if fuse:
+        # each Y-field IDCT slice copy fuses with the downscale copy
+        # that shares its slice region
+        fused = {c.node_id for c in rt.fusion_report.chains}
+        assert {f"pip0_idct_y/idct[{i}]+pip0_idct_y/scale[{i}]"
+                for i in range(3)} <= fused
     return rt.run().components["sink"].ordered_frames()
 
 
@@ -47,7 +53,7 @@ def test_grouped_output_identical_to_split():
     split = frames_of(build_jpip(1, **KW))
     grouped = frames_of(build_jpip(1, grouped_stages=True, **KW))
     grouped_merged = frames_of(build_jpip(1, grouped_stages=True, **KW),
-                               group_chains=True)
+                               fuse=True)
     assert len(split) == len(grouped) == len(grouped_merged) == 3
     for a, b, c in zip(split, grouped, grouped_merged):
         assert a == b == c

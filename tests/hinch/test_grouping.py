@@ -136,6 +136,8 @@ def test_grouping_reduces_parallelism():
 
 
 def test_grouped_threaded_results_identical():
+    """On the runtimes the §4.1 merge is chain fusion: the whole linear
+    chain becomes one fused node with unchanged output."""
     b = AppBuilder()
     main = b.procedure("main")
     main.component("src", "producer", streams={"output": "a"},
@@ -147,10 +149,12 @@ def test_grouped_threaded_results_identical():
     program = expand(b.build(), HPORTS)
     plain = ThreadedRuntime(program, HREGISTRY, nodes=2, pipeline_depth=3,
                             max_iterations=6).run()
-    grouped = ThreadedRuntime(program, HREGISTRY, nodes=2, pipeline_depth=3,
-                              max_iterations=6, group_chains=True).run()
+    fused_rt = ThreadedRuntime(program, HREGISTRY, nodes=2, pipeline_depth=3,
+                               max_iterations=6, fuse=True)
+    assert list(fused_rt.pg.graph.node_ids) == ["src+d+p+snk"]
+    fused = fused_rt.run()
     assert plain.components["snk"].ordered() == \
-        grouped.components["snk"].ordered() == [(3 + k) * 2 + 7 for k in range(6)]
+        fused.components["snk"].ordered() == [(3 + k) * 2 + 7 for k in range(6)]
 
 
 def test_grouped_sim_execute_matches_functional_output():
