@@ -13,8 +13,9 @@ the SpaceCAKE simulator — must agree on lives here, once:
   streams, host, current graph, target option states, pre-created
   components, managers, scheduler and ``reconfig_log``; implements the
   manager-facing :class:`~repro.hinch.manager.ReconfigController`,
-  :meth:`~Coordinator.post_event` and the splice core of
-  :meth:`~Coordinator.on_reconfigure`.
+  :meth:`~Coordinator.post_event`, the splice core of
+  :meth:`~Coordinator.on_reconfigure`, control-node execution and the
+  :class:`RunResult` of a run.
 
 A backend is an executor plus hooks: ``_lock`` (a context manager
 guarding controller state), ``_before_splice``/``_after_splice`` around
@@ -35,7 +36,7 @@ their definition was not live, so no request reached it.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.analysis.formats import (
@@ -56,9 +57,39 @@ __all__ = [
     "ComponentHost",
     "Configuration",
     "Coordinator",
+    "RunResult",
     "apply_replay",
     "build_configuration",
 ]
+
+
+@dataclass
+class RunResult:
+    """Outcome of one application run."""
+
+    completed_iterations: int
+    elapsed_seconds: float
+    reconfig_count: int
+    trace: Tracer
+    components: dict[str, Component]
+    stream_stats: dict[str, tuple[int, int]]  # name -> (writes, reads)
+    events_handled: int = 0
+    events_ignored: int = 0
+    #: allocation + serialization counters from the plane pool (see
+    #: :class:`repro.hinch.shm.PoolStats`); summed across processes on
+    #: the process backend
+    pool_stats: dict[str, int] = field(default_factory=dict)
+    #: worker failures, retries and respawns observed by the process
+    #: backend (empty elsewhere); each entry is a dict with at least
+    #: ``kind``/``worker``/``detail`` keys — see docs/fault-tolerance.md
+    fault_events: list[dict[str, Any]] = field(default_factory=list)
+    #: worker slots that actually forked (lazy spawn and elastic resize
+    #: mean this can differ from the configured ``--workers`` in either
+    #: direction); equals ``nodes`` on the threaded backend
+    workers_spawned: int = 0
+    #: auto-tuner decisions applied during the run, each a dict with
+    #: ``kind``/``reason``/``predicted_fps``/``achieved_fps`` keys
+    autotune_events: list[dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -264,6 +295,34 @@ class Coordinator:
             if requests:
                 replay[instance_id] = tuple(requests)
         return replay
+
+    def _run_control(self, node: Any, iteration: int) -> None:
+        """Execute a control node: a manager invocation (barriers no-op)."""
+        if node.kind in ("manager_enter", "manager_exit"):
+            with self._lock:
+                self.managers[node.payload].invoke(
+                    iteration, node.kind.removeprefix("manager_")
+                )
+
+    def _result(self, elapsed: float, **extra: Any) -> RunResult:
+        """Assemble the run's :class:`RunResult`; ``extra`` adds the
+        backend-specific fields."""
+        managers = self.managers.values()
+        return RunResult(
+            completed_iterations=self.scheduler.completed_iterations,
+            elapsed_seconds=elapsed,
+            reconfig_count=self.scheduler.reconfig_count,
+            trace=self.tracer,
+            components=dict(self.host.live),
+            stream_stats={
+                name: self.streams.stream(name).stats
+                for name in self.streams.names
+            },
+            events_handled=sum(m.events_handled for m in managers),
+            events_ignored=sum(m.events_ignored for m in managers),
+            pool_stats=self.pool.stats.as_dict(),
+            **extra,
+        )
 
     # -- SchedulerHooks ------------------------------------------------------
 

@@ -38,17 +38,20 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.core.program import ComponentInstance, ProgramGraph, StreamTable
-from repro.errors import StreamError, StreamFormatError
+from repro.errors import StreamError
 from repro.graph.taskgraph import TaskGraph
 from repro.hinch.component import Component, JobContext
 from repro.hinch.events import EventBroker
 from repro.hinch.grouping import GROUP_SEPARATOR
+from repro.hinch.stream import check_geometry
 
 __all__ = [
     "FusedChain",
     "FusionReport",
     "fuse_chains",
     "run_fused",
+    "run_task",
+    "task_members",
 ]
 
 
@@ -409,7 +412,7 @@ def fuse_chains(
 
 
 # ---------------------------------------------------------------------------
-# Fused execution (shared by both runtimes)
+# Task execution (shared by both runtimes)
 # ---------------------------------------------------------------------------
 
 _MISSING = object()
@@ -454,26 +457,11 @@ class _LocalStream:
         if buf is not _MISSING:
             return buf
         expected = self._store.internal.get(self._name)
-        if expected is not None and shape is not None:
-            want_shape, want_dtype = expected
-            got_dtype = np.dtype(dtype) if dtype is not None else None
-            if tuple(shape) != tuple(want_shape) or (
-                got_dtype is not None and got_dtype != np.dtype(want_dtype)
-            ):
-                raise StreamFormatError(
-                    f"fused stream {self._name!r}: geometry mismatch in "
-                    f"iteration {iteration}: node {writer or '?'} produced "
-                    f"{tuple(shape)}/{got_dtype}, but the reconciled port "
-                    f"format declares {tuple(want_shape)}/"
-                    f"{np.dtype(want_dtype)}",
-                    stream=self._name,
-                    iteration=iteration,
-                    node=writer,
-                    declared=(tuple(want_shape), np.dtype(want_dtype).name),
-                    observed=(
-                        tuple(shape), got_dtype.name if got_dtype else None
-                    ),
-                )
+        if expected is not None:
+            check_geometry(
+                self._name, iteration, writer, expected, shape, dtype,
+                label="fused stream",
+            )
         if shape is None and expected is not None:
             shape, dtype = expected
         if shape is not None:
@@ -594,6 +582,47 @@ def run_fused(
             (first.instance_id, start, time.perf_counter())
         )
     return member_times
+
+
+def task_members(
+    payload: ComponentInstance | FusedChain,
+) -> tuple[ComponentInstance, ...]:
+    """The component instances one task node runs, in execution order."""
+    return payload if isinstance(payload, FusedChain) else (payload,)
+
+
+def run_task(
+    node_id: str,
+    payload: ComponentInstance | FusedChain,
+    iteration: int,
+    streams: Any,
+    broker: Any,
+    aliases: dict[str, str],
+    components: Mapping[str, Component],
+    *,
+    stop_requester: Callable[[], None],
+    caches: dict[str, dict[str, Any]],
+) -> list[tuple[str, float, float]] | None:
+    """Execute one task job; returns fused member times, else None.
+
+    The one task executor of the threaded runtime and the process
+    workers: a fused chain runs in one dispatch through
+    :func:`run_fused` (``caches`` maps node id to its per-node cache), a
+    single component through its ``run``.  ``streams`` and ``broker``
+    may be duck types (the process workers' per-job facades).
+    """
+    if isinstance(payload, FusedChain):
+        return run_fused(
+            payload, iteration, streams, broker, aliases, components,
+            stop_requester=stop_requester,
+            cache=caches.setdefault(node_id, {}),
+        )
+    ctx = JobContext(
+        payload, iteration, streams, broker, aliases,
+        stop_requester=stop_requester,
+    )
+    components[payload.instance_id].run(ctx)
+    return None
 
 
 def _compile_steps(

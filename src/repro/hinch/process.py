@@ -89,33 +89,28 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.program import ComponentInstance, Program, ProgramGraph
-from repro.errors import (
-    SchedulingError,
-    StreamError,
-    StreamFormatError,
-    WorkerFailure,
-)
+from repro.errors import SchedulingError, StreamError, WorkerFailure
 from repro.hinch.autotune import (
     AutotuneConfig,
     AutotuneController,
     Decision,
     Observation,
 )
-from repro.hinch.component import Component, JobContext
+from repro.hinch.component import Component
 from repro.hinch.coordination import (
     ComponentHost,
     Coordinator,
+    RunResult,
     apply_replay,
     build_configuration,
 )
 from repro.hinch.events import Event
 from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
-from repro.hinch.fusion import FusedChain, run_fused
+from repro.hinch.fusion import run_task, task_members
 from repro.hinch.jobqueue import Job, JobQueue
-from repro.hinch.runtime import RunResult
 from repro.hinch.scheduler import ReconfigPlan
 from repro.hinch.shm import NameInterner, Packed, PlaneRef, SharedPlanePool
-from repro.hinch.tracing import TraceEvent
+from repro.hinch.stream import check_geometry
 
 __all__ = ["ProcessRuntime"]
 
@@ -306,27 +301,11 @@ class _WorkerStream:
     ) -> Any:
         ws = self.ws
         buf = ws.ensured.get(self.name)
-        if buf is not None and shape is not None:
-            want_dtype = np.dtype(dtype) if dtype is not None else None
-            if tuple(shape) != buf.shape or (
-                want_dtype is not None and want_dtype != buf.dtype
-            ):
-                raise StreamFormatError(
-                    f"stream {self.name!r}: ensure_buffer geometry mismatch "
-                    f"in iteration {iteration}: node "
-                    f"{ws.worker.current_node or '?'} requested "
-                    f"{tuple(shape)}/{want_dtype}, slot already allocated "
-                    f"as {buf.shape}/{buf.dtype} (see lint codes X501/X503, "
-                    "`python -m repro lint`)",
-                    stream=self.name,
-                    iteration=iteration,
-                    node=ws.worker.current_node,
-                    declared=(buf.shape, buf.dtype.name),
-                    observed=(
-                        tuple(shape),
-                        want_dtype.name if want_dtype else None,
-                    ),
-                )
+        if buf is not None:
+            check_geometry(
+                self.name, iteration, ws.worker.current_node,
+                (buf.shape, buf.dtype), shape, dtype, allocated=True,
+            )
         if buf is None:
             if shape is None:
                 # Legacy factory path: use the factory's array purely as
@@ -514,12 +493,9 @@ class _Worker:
         fault: tuple | None,
     ) -> tuple:
         self._apply_fault(fault)
-        node = self.pg.graph.node(node_id)
-        payload = node.payload
-        instances = payload if isinstance(payload, FusedChain) else (payload,)
+        payload = self.pg.graph.node(node_id).payload
         ws = _WorkerStreams(self, iteration, inputs, resident, ensured)
         events: list[tuple[str, Event]] = []
-        broker = _RecordingBroker(events)
         stop_requested = False
 
         def request_stop() -> None:
@@ -528,35 +504,15 @@ class _Worker:
 
         self.current_node = node_id
         self.rpc_wait = 0.0
-        member_times: list[tuple[str, float, float]] | None = None
         start = time.perf_counter()
         cpu_start = time.process_time()
-        if isinstance(payload, FusedChain):
-            # Single dispatch for the whole chain: intermediate planes
-            # stay process-local temporaries, external reads/writes go
-            # through the normal per-job stream facade.
-            member_times = run_fused(
-                payload,
-                iteration,
-                ws,  # type: ignore[arg-type] - StreamStore duck type
-                broker,  # type: ignore[arg-type] - EventBroker duck type
-                self.pg.aliases,
-                self.host.live,
-                stop_requester=request_stop,
-                cache=self._fused_caches.setdefault(node_id, {}),
-            )
-        else:
-            for instance in instances:
-                component = self.host.live[instance.instance_id]
-                ctx = JobContext(
-                    instance,
-                    iteration,
-                    ws,  # type: ignore[arg-type] - StreamStore duck type
-                    broker,  # type: ignore[arg-type] - EventBroker duck type
-                    self.pg.aliases,
-                    stop_requester=request_stop,
-                )
-                component.run(ctx)
+        # A fused chain keeps its intermediate planes process-local
+        # temporaries; external reads and writes go through ``ws``.
+        member_times = run_task(
+            node_id, payload, iteration, ws, _RecordingBroker(events),
+            self.pg.aliases, self.host.live,
+            stop_requester=request_stop, caches=self._fused_caches,
+        )
         # "Busy" time for the dispatcher's CPU-bound classification: CPU
         # burned plus time stalled on dispatcher RPCs — the latter is
         # coordination contention, not a kernel yielding the processor,
@@ -569,7 +525,7 @@ class _Worker:
         # dispatcher mirror before the job is acknowledged, so a later
         # crash of this worker cannot lose acknowledged output.
         state_updates: dict[str, Any] = {}
-        for instance in instances:
+        for instance in task_members(payload):
             delta = self.host.live[instance.instance_id].checkpoint_state()
             if delta is not None:
                 state_updates[instance.instance_id] = delta
@@ -804,7 +760,6 @@ class ProcessRuntime(Coordinator):
         self.interner = NameInterner(NameInterner.names_of(self.pg))
         self._plain = NameInterner()
         self.queue = JobQueue()
-        self._worker_pool_stats = {k: 0 for k in _WORKER_STAT_KEYS}
         self._ctx: Any = None
         #: slot -> control pipe / process handle (None until spawned;
         #: entries are *replaced* on respawn, the slot id is stable)
@@ -962,16 +917,7 @@ class ProcessRuntime(Coordinator):
         now = time.perf_counter()
         wall = max(now - self._win_start, 1e-9)
         fps = self._win_iters / wall
-        # Backfill achieved throughput on decisions still awaiting their
-        # first post-splice window — the predicted-vs-achieved delta the
-        # bench reports per decision.
-        for event in self.autotune_events:
-            if event["achieved_fps"] is None:
-                event["achieved_fps"] = round(fps, 4)
-                base = event["baseline_fps"]
-                event["achieved_ratio"] = (
-                    round(fps / base, 4) if base else None
-                )
+        self._backfill_achieved(fps)
         cpu_bound = frozenset(
             _SLICE_SUFFIX.sub("", node)
             for node, bound in self._cpu_bound.items()
@@ -1011,6 +957,18 @@ class ProcessRuntime(Coordinator):
             )
         )
 
+    def _backfill_achieved(self, fps: float) -> None:
+        """Stamp ``fps`` on decisions still awaiting their first
+        post-splice window — the predicted-vs-achieved delta the bench
+        reports per decision."""
+        for event in self.autotune_events:
+            if event["achieved_fps"] is None:
+                event["achieved_fps"] = round(fps, 4)
+                base = event["baseline_fps"]
+                event["achieved_ratio"] = (
+                    round(fps / base, 4) if base else None
+                )
+
     def _apply_autotune(self, decision: Decision, resume: int) -> None:
         """Enact one controller decision at the quiescent splice point."""
         if decision.batch is not None:
@@ -1031,17 +989,7 @@ class ProcessRuntime(Coordinator):
         if self.fuse:
             self._fuse_headroom = min(self.workers, self._cores)
         if self.tracer.enabled:
-            now = time.perf_counter()
-            self.tracer.record(
-                TraceEvent(
-                    node_id=decision.kind,
-                    iteration=resume,
-                    worker=-1,
-                    start=now,
-                    end=now,
-                    kind="autotune",
-                )
-            )
+            self.tracer.record_marker(decision.kind, resume, -1, "autotune")
         self.autotune_events.append(
             {
                 "kind": decision.kind,
@@ -1068,8 +1016,9 @@ class ProcessRuntime(Coordinator):
         until the first dispatch that finds no idle worker (PR 5's lazy
         spawn).  Shrinking retires the highest slots first: dormant slots
         just vanish; live ones get the graceful stop handshake (state
-        snapshots and pool stats merge exactly as at shutdown), which
-        cannot abandon work because every worker is idle at quiescence.
+        snapshots and pool stats merge exactly as at shutdown, and a
+        worker error fails the run exactly as at shutdown), which cannot
+        abandon work because every worker is idle at quiescence.
         """
         target = max(1, target)
         if target > self.workers:
@@ -1077,55 +1026,19 @@ class ProcessRuntime(Coordinator):
             self._conns.extend([None] * grow)  # type: ignore[list-item]
             self._procs.extend([None] * grow)
             self._incarnation.extend([-1] * grow)
-            self._dormant += grow
             self.workers = target
             return
         while self.workers > target:
             slot = self.workers - 1
-            self._retire_slot(slot)
+            if slot in self._live:
+                try:
+                    self._stop_workers([slot])
+                finally:
+                    self._release_slot(slot)
             self._conns.pop()
             self._procs.pop()
             self._incarnation.pop()
             self.workers = slot
-
-    def _retire_slot(self, slot: int) -> None:
-        if self._incarnation[slot] == -1:
-            self._dormant -= 1
-            return
-        if slot not in self._live:
-            return
-        self._live.discard(slot)
-        self._idle.discard(slot)
-        for holders in self._resident.values():
-            for workers in holders.values():
-                workers.discard(slot)
-        try:
-            self._send_to(slot, ("stop",), interned=False)
-            while True:
-                msg = self._recv_from(slot)
-                if msg[0] == "bye":
-                    _, snapshots, stats = msg
-                    for instance_id, state in snapshots.items():
-                        component = self.host.live.get(instance_id)
-                        if component is not None:
-                            component.merge_state(state)
-                    for key in _WORKER_STAT_KEYS:
-                        self._worker_pool_stats[key] += stats[key]
-                    break
-                if msg[0] == "error":
-                    break  # dying worker: nothing left worth merging
-        except (EOFError, OSError):
-            pass
-        try:
-            self._conns[slot].close()
-        except Exception:
-            pass
-        proc = self._procs[slot]
-        if proc is not None:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
 
     # -- SchedulerHooks ------------------------------------------------------
 
@@ -1240,8 +1153,7 @@ class ProcessRuntime(Coordinator):
         earlier member of a fused chain stay worker-local and are
         skipped.
         """
-        payload = node.payload
-        instances = payload if isinstance(payload, FusedChain) else (payload,)
+        instances = task_members(node.payload)
         produced: set[str] = set()
         aliases = self.pg.aliases
         for instance in instances:
@@ -1332,21 +1244,10 @@ class ProcessRuntime(Coordinator):
         # ensure planes are stream-owned, not worker-leased: the slot
         # survives the worker and is released with its iteration.
         ref = packed.refs[0]
-        if tuple(ref.shape) != tuple(shape) or np.dtype(ref.dtype) != np.dtype(
-            dtype
-        ):
-            raise StreamFormatError(
-                f"stream {name!r}: ensure_buffer geometry mismatch in "
-                f"iteration {iteration}: node {node or '?'} requested "
-                f"{tuple(shape)}/{np.dtype(dtype)}, slot already "
-                f"allocated as {tuple(ref.shape)}/{np.dtype(ref.dtype)} "
-                "(see lint codes X501/X503, `python -m repro lint`)",
-                stream=name,
-                iteration=iteration,
-                node=node,
-                declared=(tuple(ref.shape), np.dtype(ref.dtype).name),
-                observed=(tuple(shape), np.dtype(dtype).name),
-            )
+        check_geometry(
+            name, iteration, node, (ref.shape, ref.dtype), shape, dtype,
+            allocated=True,
+        )
         return ref
 
     def _issue_grants(self, node_id: str, worker: int) -> list[PlaneRef]:
@@ -1369,21 +1270,11 @@ class ProcessRuntime(Coordinator):
     def _run_local(self, job: Job, node: Any) -> None:
         """Execute a control node (manager/barrier) on the dispatcher."""
         start = time.perf_counter()
-        if node.kind in ("manager_enter", "manager_exit"):
-            manager = self.managers[node.payload]
-            manager.invoke(job.iteration, node.kind.removeprefix("manager_"))
+        self._run_control(node, job.iteration)
         end = time.perf_counter()
         if self.tracer.enabled:
-            self.tracer.record(
-                TraceEvent(
-                    node_id=job.node_id,
-                    iteration=job.iteration,
-                    worker=-1,
-                    start=start,
-                    end=end,
-                    kind=node.kind,
-                )
-            )
+            self.tracer.record_job(job.node_id, job.iteration, -1, start,
+                                   end, node.kind)
         self._complete(job)
 
     def _complete(self, job: Job) -> None:
@@ -1752,31 +1643,10 @@ class ProcessRuntime(Coordinator):
         if stop:
             self.scheduler.request_stop()
         if self.tracer.enabled:
-            self.tracer.record(
-                TraceEvent(
-                    node_id=node_id,
-                    iteration=iteration,
-                    worker=worker,
-                    start=start,
-                    end=end,
-                    kind="task",
-                )
-            )
-            if member_times:
-                # constituent-node attribution inside the fused job
-                # (worker-local perf_counter timestamps: same clock
-                # domain as the whole-node event above)
-                for member_id, m_start, m_end in member_times:
-                    self.tracer.record(
-                        TraceEvent(
-                            node_id=member_id,
-                            iteration=iteration,
-                            worker=worker,
-                            start=m_start,
-                            end=m_end,
-                            kind="fused_member",
-                        )
-                    )
+            # fused member times are worker-local perf_counter stamps:
+            # the same clock domain as the job span
+            self.tracer.record_job(node_id, iteration, worker, start, end,
+                                   members=member_times)
         if unused_grants is not None:
             # Final record of the lease: consumed grants became outputs
             # (stream-owned now), unconsumed ones go back to the pool.
@@ -1837,8 +1707,7 @@ class ProcessRuntime(Coordinator):
             ) from None
         self._conns = [None] * self.workers  # type: ignore[list-item]
         self._procs = [None] * self.workers
-        self._incarnation = [-1] * self.workers
-        self._dormant = self.workers  # slots never forked
+        self._incarnation = [-1] * self.workers  # -1: never forked
         # Worker 0 starts eagerly (every run uses at least one); the
         # remaining slots fork lazily, on the first dispatch that finds
         # no idle worker.  A run whose work the oversubscription guard
@@ -1847,14 +1716,16 @@ class ProcessRuntime(Coordinator):
         # would not benefit from.
         self._spawn_one(0)
 
+    @property
+    def _dormant(self) -> int:
+        """Worker slots never forked (lazy spawn)."""
+        return self._incarnation.count(-1)
+
     def _unspawned_slot(self) -> int | None:
         """Lowest worker slot that has never been forked, if any."""
-        if not self._dormant:
-            return None
-        for slot in range(self.workers):
-            if self._incarnation[slot] == -1:
-                return slot
-        return None
+        return (
+            self._incarnation.index(-1) if -1 in self._incarnation else None
+        )
 
     def _spawn_one(self, slot: int) -> None:
         """(Re)start the worker in ``slot``.
@@ -1869,8 +1740,6 @@ class ProcessRuntime(Coordinator):
         a respawn cannot unlink live shared segments.
         """
         parent, child = self._ctx.Pipe()
-        if self._incarnation[slot] == -1:
-            self._dormant -= 1
         incarnation = self._next_incarnation
         self._next_incarnation += 1
         proc = self._ctx.Process(
@@ -1909,16 +1778,9 @@ class ProcessRuntime(Coordinator):
             }
         )
         if self.tracer.enabled:
-            now = time.perf_counter()
-            self.tracer.record(
-                TraceEvent(
-                    node_id=job.node_id if job else "",
-                    iteration=job.iteration if job else -1,
-                    worker=slot,
-                    start=now,
-                    end=now,
-                    kind=kind,
-                )
+            self.tracer.record_marker(
+                job.node_id if job else "", job.iteration if job else -1,
+                slot, kind,
             )
 
     def _worker_failed(
@@ -1933,8 +1795,6 @@ class ProcessRuntime(Coordinator):
         """
         if slot not in self._live:
             return
-        self._live.discard(slot)
-        self._idle.discard(slot)
         incarnation = self._incarnation[slot]
         lease = self._busy.pop(slot, None)
         self._deadlines.pop(slot, None)
@@ -1945,19 +1805,8 @@ class ProcessRuntime(Coordinator):
             self.pool.release(ref)
         for ref in self._granted.pop(slot, ()):
             self.pool.release(ref)
-        # Any resident slot this worker held is gone; future leases must
-        # ship those planes again from the dispatcher-held stream slots.
-        for holders in self._resident.values():
-            for workers in holders.values():
-                workers.discard(slot)
-        try:
-            self._conns[slot].close()
-        except Exception:
-            pass
-        proc = self._procs[slot]
-        if proc is not None and proc.is_alive():
-            proc.kill()  # SIGKILL: a wedged kernel may ignore SIGTERM
-            proc.join(timeout=5)
+        # SIGKILL: a wedged kernel may ignore SIGTERM
+        self._release_slot(slot, kill=True)
         pending = (
             list(zip(lease.jobs, lease.speculative))[lease.done:]
             if lease is not None else []
@@ -2077,20 +1926,21 @@ class ProcessRuntime(Coordinator):
                 continue
             slot = sentinel_slots.get(obj)
             if slot is not None and slot in self._live:
-                # Process exited: drain any last buffered messages (a
-                # completed job racing the death must win), then declare
-                # the failure if the slot is still live.
-                self._service_conn(slot)
-                if slot in self._live and not self._procs[slot].is_alive():
-                    self._worker_failed(slot, "process died")
+                self._reap(slot)
 
     def _check_liveness(self) -> None:
         for slot in sorted(self._live):
             proc = self._procs[slot]
             if proc is not None and not proc.is_alive():
-                self._service_conn(slot)
-                if slot in self._live:
-                    self._worker_failed(slot, "process died")
+                self._reap(slot)
+
+    def _reap(self, slot: int) -> None:
+        """A worker process exited: drain its last buffered messages (a
+        completed job racing the death must win), then declare the
+        failure if the slot still holds that dead process."""
+        self._service_conn(slot)
+        if slot in self._live and not self._procs[slot].is_alive():
+            self._worker_failed(slot, "process died")
 
     def _check_watchdog(self) -> None:
         if self.watchdog is None:
@@ -2123,62 +1973,84 @@ class ProcessRuntime(Coordinator):
 
     # -- shutdown ------------------------------------------------------------
 
-    def _shutdown(self, *, graceful: bool) -> None:
-        deferred: BaseException | None = None
-        if graceful:
-            for slot in sorted(self._live):
-                try:
-                    self._send_to(slot, ("stop",), interned=False)
-                except Exception:
-                    pass
-            for slot in sorted(self._live):
-                try:
-                    while True:
-                        msg = self._recv_from(slot)
-                        tag = msg[0]
-                        if tag == "bye":
-                            _, snapshots, stats = msg
-                            for instance_id, state in snapshots.items():
-                                component = self.host.live.get(instance_id)
-                                if component is not None:
-                                    component.merge_state(state)
-                            for key in _WORKER_STAT_KEYS:
-                                self._worker_pool_stats[key] += stats[key]
-                            break
-                        if tag == "error":
-                            # A worker failing *during* stop (e.g. in
-                            # snapshot_state) must surface, not vanish
-                            # into the drain; finish cleanup, then raise.
-                            error = self._worker_error(slot, msg[1], msg[2])
-                            if deferred is None:
-                                deferred = error
-                            break
-                        # Anything else is a stale in-flight message (an
-                        # rpc whose reply the worker no longer needs);
-                        # drained without effect.
-                except (EOFError, OSError):
-                    pass
-        for conn in self._conns:
-            if conn is None:
-                continue
+    def _stop_workers(self, slots: list[int]) -> None:
+        """The graceful stop handshake, at shrink and at shutdown.
+
+        Sends ``("stop",)`` to every slot, then reads each until its
+        ``"bye"``, merging the component snapshots and pool counters it
+        carries.  A worker failing *during* stop (e.g. in
+        ``snapshot_state``) must surface, not vanish into the drain: the
+        first such error is raised once every slot is drained.  Anything
+        else read is a stale in-flight message (an rpc whose reply the
+        worker no longer needs), drained without effect; a worker already
+        gone (EOF) has nothing left to merge.
+        """
+        error: BaseException | None = None
+        for slot in slots:
             try:
-                conn.close()
-            except Exception:
+                self._send_to(slot, ("stop",), interned=False)
+            except OSError:
                 pass
-        for proc in self._procs:
-            if proc is None:
-                continue
+        for slot in slots:
+            try:
+                while True:
+                    msg = self._recv_from(slot)
+                    if msg[0] == "bye":
+                        _, snapshots, stats = msg
+                        for instance_id, state in snapshots.items():
+                            component = self.host.live.get(instance_id)
+                            if component is not None:
+                                component.merge_state(state)
+                        merged = self.pool.stats
+                        for key in _WORKER_STAT_KEYS:
+                            setattr(merged, key,
+                                    getattr(merged, key) + stats[key])
+                        break
+                    if msg[0] == "error":
+                        if error is None:
+                            error = self._worker_error(slot, msg[1], msg[2])
+                        break
+            except (EOFError, OSError):
+                pass
+        if error is not None:
+            raise error
+
+    def _release_slot(self, slot: int, *, kill: bool = False) -> None:
+        """Take ``slot`` out of service and reap its process.
+
+        The slot stops being live, idle or a resident holder (future
+        leases ship those planes again from the dispatcher-held stream
+        slots), its pipe closes, and its process is joined (after a
+        SIGKILL with ``kill``), then terminated if it has not exited
+        within five seconds.
+        """
+        self._live.discard(slot)
+        self._idle.discard(slot)
+        for holders in self._resident.values():
+            for workers in holders.values():
+                workers.discard(slot)
+        conn, proc = self._conns[slot], self._procs[slot]
+        if conn is not None:
+            conn.close()
+        if proc is None:
+            return
+        if kill and proc.is_alive():
+            proc.kill()
+        proc.join(timeout=5)
+        if proc.is_alive():
+            proc.terminate()
             proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        self._conns = []
-        self._procs = []
-        self._live.clear()
-        self._idle.clear()
-        self.pool.close()
-        if deferred is not None:
-            raise deferred
+
+    def _shutdown(self, *, graceful: bool) -> None:
+        try:
+            if graceful:
+                self._stop_workers(sorted(self._live))
+        finally:
+            for slot in range(len(self._procs)):
+                self._release_slot(slot)
+            self._conns = []
+            self._procs = []
+            self.pool.close()
 
     # -- run -----------------------------------------------------------------
 
@@ -2220,16 +2092,9 @@ class ProcessRuntime(Coordinator):
         if self._controller is not None and self._win_iters:
             # Decisions applied too close to the end never saw a full
             # window; the partial tail still yields an achieved number.
-            tail_fps = self._win_iters / max(
+            self._backfill_achieved(self._win_iters / max(
                 time.perf_counter() - self._win_start, 1e-9
-            )
-            for event in self.autotune_events:
-                if event["achieved_fps"] is None:
-                    event["achieved_fps"] = round(tail_fps, 4)
-                    base = event["baseline_fps"]
-                    event["achieved_ratio"] = (
-                        round(tail_fps / base, 4) if base else None
-                    )
+            ))
         if self.fault_injector is not None:
             # Unfired directives are a run-summary fact, not a silent
             # no-op: a spec aimed past the last dispatched job would
@@ -2245,22 +2110,8 @@ class ProcessRuntime(Coordinator):
                         ),
                     }
                 )
-        stream_stats = {
-            name: self.streams.stream(name).stats for name in self.streams.names
-        }
-        pool_stats = self.pool.stats.as_dict()
-        for key in _WORKER_STAT_KEYS:
-            pool_stats[key] += self._worker_pool_stats[key]
-        return RunResult(
-            completed_iterations=self.scheduler.completed_iterations,
-            elapsed_seconds=elapsed,
-            reconfig_count=self.scheduler.reconfig_count,
-            trace=self.tracer,
-            components=dict(self.host.live),
-            stream_stats=stream_stats,
-            events_handled=sum(m.events_handled for m in self.managers.values()),
-            events_ignored=sum(m.events_ignored for m in self.managers.values()),
-            pool_stats=pool_stats,
+        return self._result(
+            elapsed,
             fault_events=list(self.fault_events),
             workers_spawned=len(self._spawned_slots),
             autotune_events=list(self.autotune_events),

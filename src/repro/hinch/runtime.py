@@ -14,48 +14,17 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.core.program import Program
 from repro.errors import SchedulingError
-from repro.hinch.component import Component, JobContext
-from repro.hinch.coordination import Coordinator
-from repro.hinch.fusion import FusedChain, run_fused
+from repro.hinch.component import Component
+from repro.hinch.coordination import Coordinator, RunResult
+from repro.hinch.fusion import run_task
 from repro.hinch.jobqueue import Job, JobQueue
 from repro.hinch.shm import SharedPlanePool
-from repro.hinch.tracing import TraceEvent, Tracer
 
 __all__ = ["ThreadedRuntime", "RunResult"]
-
-
-@dataclass
-class RunResult:
-    """Outcome of one application run."""
-
-    completed_iterations: int
-    elapsed_seconds: float
-    reconfig_count: int
-    trace: Tracer
-    components: dict[str, Component]
-    stream_stats: dict[str, tuple[int, int]]  # name -> (writes, reads)
-    events_handled: int = 0
-    events_ignored: int = 0
-    #: allocation + serialization counters from the plane pool (see
-    #: :class:`repro.hinch.shm.PoolStats`); summed across processes on
-    #: the process backend
-    pool_stats: dict[str, int] = field(default_factory=dict)
-    #: worker failures, retries and respawns observed by the process
-    #: backend (empty elsewhere); each entry is a dict with at least
-    #: ``kind``/``worker``/``detail`` keys — see docs/fault-tolerance.md
-    fault_events: list[dict[str, Any]] = field(default_factory=list)
-    #: worker slots that actually forked (lazy spawn and elastic resize
-    #: mean this can differ from the configured ``--workers`` in either
-    #: direction); equals ``nodes`` on the threaded backend
-    workers_spawned: int = 0
-    #: auto-tuner decisions applied during the run, each a dict with
-    #: ``kind``/``reason``/``predicted_fps``/``achieved_fps`` keys
-    autotune_events: list[dict[str, Any]] = field(default_factory=list)
 
 
 class ThreadedRuntime(Coordinator):
@@ -102,62 +71,19 @@ class ThreadedRuntime(Coordinator):
     def _execute(self, job: Job, worker: int) -> None:
         node = self.pg.graph.node(job.node_id)
         start = time.perf_counter()
-        member_times: list[tuple[str, float, float]] | None = None
+        members = None
         if node.kind == "task":
-            payload = node.payload
-            if isinstance(payload, FusedChain):
-                # One dispatch for the whole chain; intermediate planes
-                # stay local to this job (repro.hinch.fusion).
-                member_times = run_fused(
-                    payload,
-                    job.iteration,
-                    self.streams,
-                    self.broker,
-                    self.pg.aliases,
-                    self.host.live,
-                    stop_requester=self._request_stop,
-                    cache=self._fused_caches.setdefault(job.node_id, {}),
-                )
-            else:
-                ctx = JobContext(
-                    payload,
-                    job.iteration,
-                    self.streams,
-                    self.broker,
-                    self.pg.aliases,
-                    stop_requester=self._request_stop,
-                )
-                self.host.live[payload.instance_id].run(ctx)
-        elif node.kind in ("manager_enter", "manager_exit"):
-            manager = self.managers[node.payload]
-            with self._lock:
-                manager.invoke(job.iteration, node.kind.removeprefix("manager_"))
-        # barriers: nothing to do
+            members = run_task(
+                job.node_id, node.payload, job.iteration, self.streams,
+                self.broker, self.pg.aliases, self.host.live,
+                stop_requester=self._request_stop, caches=self._fused_caches,
+            )
+        else:
+            self._run_control(node, job.iteration)
         end = time.perf_counter()
         if self.tracer.enabled:
-            self.tracer.record(
-                TraceEvent(
-                    node_id=job.node_id,
-                    iteration=job.iteration,
-                    worker=worker,
-                    start=start,
-                    end=end,
-                    kind=node.kind,
-                )
-            )
-            if member_times:
-                # constituent-node attribution inside the fused job
-                for member_id, m_start, m_end in member_times:
-                    self.tracer.record(
-                        TraceEvent(
-                            node_id=member_id,
-                            iteration=job.iteration,
-                            worker=worker,
-                            start=m_start,
-                            end=m_end,
-                            kind="fused_member",
-                        )
-                    )
+            self.tracer.record_job(job.node_id, job.iteration, worker,
+                                   start, end, node.kind, members)
 
     def _request_stop(self) -> None:
         with self._lock:
@@ -205,19 +131,7 @@ class ThreadedRuntime(Coordinator):
             t.join()
         if self._failure is not None:
             raise self._failure
-        elapsed = time.perf_counter() - self._start_time
-        stream_stats = {
-            name: self.streams.stream(name).stats for name in self.streams.names
-        }
-        return RunResult(
-            completed_iterations=self.scheduler.completed_iterations,
-            elapsed_seconds=elapsed,
-            reconfig_count=self.scheduler.reconfig_count,
-            trace=self.tracer,
-            components=dict(self.host.live),
-            stream_stats=stream_stats,
-            events_handled=sum(m.events_handled for m in self.managers.values()),
-            events_ignored=sum(m.events_ignored for m in self.managers.values()),
-            pool_stats=self.pool.stats.as_dict(),
+        return self._result(
+            time.perf_counter() - self._start_time,
             workers_spawned=self.nodes,
         )

@@ -29,7 +29,56 @@ import numpy as np
 from repro.errors import StreamError, StreamFormatError
 from repro.hinch.shm import Packed, PlaneRef, SharedPlanePool
 
-__all__ = ["Stream", "StreamStore"]
+__all__ = ["Stream", "StreamStore", "check_geometry"]
+
+
+def check_geometry(
+    name: str,
+    iteration: int,
+    node: str | None,
+    declared: tuple[tuple[int, ...], Any],
+    shape: tuple[int, ...] | None,
+    dtype: Any,
+    *,
+    allocated: bool = False,
+    label: str = "stream",
+) -> None:
+    """Raise :class:`StreamFormatError` if a write misses ``declared``.
+
+    ``declared`` is the ``(shape, dtype)`` a buffer must have: the solved
+    port format, or — with ``allocated`` — the slot buffer an earlier
+    writer (another slice copy) already allocated.  A ``shape`` of None
+    skips the check; a ``dtype`` of None checks the shape only.
+    ``label`` names the kind of stream in the message.
+    """
+    if shape is None:
+        return
+    want_shape, want_dtype = tuple(declared[0]), np.dtype(declared[1])
+    got_dtype = np.dtype(dtype) if dtype is not None else None
+    if tuple(shape) == want_shape and (
+        got_dtype is None or got_dtype == want_dtype
+    ):
+        return
+    if allocated:
+        detail = (
+            f"requested {tuple(shape)}/{got_dtype}, slot already allocated "
+            f"as {want_shape}/{want_dtype}"
+        )
+    else:
+        detail = (
+            f"produced {tuple(shape)}/{got_dtype}, but the reconciled port "
+            f"format declares {want_shape}/{want_dtype}"
+        )
+    raise StreamFormatError(
+        f"{label} {name!r}: ensure_buffer geometry mismatch in iteration "
+        f"{iteration}: node {node or '?'} {detail} (see lint codes "
+        "X501/X503, `python -m repro lint`)",
+        stream=name,
+        iteration=iteration,
+        node=node,
+        declared=(want_shape, want_dtype.name),
+        observed=(tuple(shape), got_dtype.name if got_dtype else None),
+    )
 
 
 class Stream:
@@ -94,24 +143,9 @@ class Stream:
         dtype: Any,
         writer: str | None,
     ) -> None:
-        if self.expected is None or shape is None:
-            return
-        want_shape, want_dtype = self.expected
-        got_dtype = np.dtype(dtype) if dtype is not None else None
-        if tuple(shape) != want_shape or (
-            got_dtype is not None and got_dtype != want_dtype
-        ):
-            raise StreamFormatError(
-                f"stream {self.name!r}: ensure_buffer geometry mismatch in "
-                f"iteration {iteration}: node {writer or '?'} produced "
-                f"{tuple(shape)}/{got_dtype}, but the reconciled port format "
-                f"declares {want_shape}/{want_dtype} (see lint codes "
-                "X501/X503, `python -m repro lint`)",
-                stream=self.name,
-                iteration=iteration,
-                node=writer,
-                declared=(want_shape, want_dtype.name),
-                observed=(tuple(shape), got_dtype.name if got_dtype else None),
+        if self.expected is not None:
+            check_geometry(
+                self.name, iteration, writer, self.expected, shape, dtype
             )
 
     # -- writer API ----------------------------------------------------------
@@ -170,29 +204,12 @@ class Stream:
                 )
             self.check_expected(iteration, shape, dtype, writer)
             buffer = self._slots.get(iteration)
-            if buffer is not None and shape is not None and isinstance(
-                buffer, np.ndarray
-            ):
-                want_dtype = np.dtype(dtype) if dtype is not None else None
-                if tuple(shape) != buffer.shape or (
-                    want_dtype is not None and want_dtype != buffer.dtype
-                ):
-                    raise StreamFormatError(
-                        f"stream {self.name!r}: ensure_buffer geometry "
-                        f"mismatch in iteration {iteration}: node "
-                        f"{writer or '?'} requested {tuple(shape)}/"
-                        f"{want_dtype}, slot already allocated as "
-                        f"{buffer.shape}/{buffer.dtype} (see lint codes "
-                        "X501/X503, `python -m repro lint`)",
-                        stream=self.name,
-                        iteration=iteration,
-                        node=writer,
-                        declared=(buffer.shape, buffer.dtype.name),
-                        observed=(
-                            tuple(shape),
-                            want_dtype.name if want_dtype else None,
-                        ),
-                    )
+            if isinstance(buffer, np.ndarray):
+                check_geometry(
+                    self.name, iteration, writer,
+                    (buffer.shape, buffer.dtype), shape, dtype,
+                    allocated=True,
+                )
             if buffer is None:
                 if shape is not None:
                     if self.pool is not None:

@@ -1,6 +1,6 @@
 """Execution tracing: who ran what, when, where.
 
-Both backends record a :class:`TraceEvent` per executed job — wall-clock
+Every backend records a :class:`TraceEvent` per executed job — wall-clock
 seconds in the threaded runtime, virtual cycles in the simulator.  The
 trace feeds utilization statistics, the benchmark reports, and debugging
 (export to a Gantt-style text chart).
@@ -9,6 +9,7 @@ trace feeds utilization statistics, the benchmark reports, and debugging
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -57,6 +58,40 @@ class Tracer:
             return
         with self._lock:
             self._events.append(event)
+
+    def record_job(
+        self,
+        node_id: str,
+        iteration: int,
+        worker: int,
+        start: float,
+        end: float,
+        kind: str = "task",
+        members: Iterable[tuple[str, float, float]] | None = None,
+    ) -> None:
+        """Record one job span and a ``fused_member`` event per member.
+
+        ``members`` holds ``(instance_id, start, end)`` per constituent
+        of a fused job, measured on the same clock as the job span.
+        """
+        if not self.enabled:
+            return
+        events = [TraceEvent(node_id, iteration, worker, start, end, kind)]
+        if members:
+            events.extend(
+                TraceEvent(member, iteration, worker, m_start, m_end,
+                           "fused_member")
+                for member, m_start, m_end in members
+            )
+        with self._lock:
+            self._events.extend(events)
+
+    def record_marker(
+        self, node_id: str, iteration: int, worker: int, kind: str
+    ) -> None:
+        """Record a zero-duration event stamped now (a decision or fault)."""
+        now = time.perf_counter()
+        self.record(TraceEvent(node_id, iteration, worker, now, now, kind))
 
     @property
     def events(self) -> list[TraceEvent]:

@@ -236,6 +236,49 @@ def test_error_during_shutdown_drain_is_surfaced():
     assert rt.pool.total_planes == 0
 
 
+def test_error_during_pool_shrink_is_surfaced():
+    """Satellite regression: the stop handshake of an auto-tuner pool
+    shrink used to drop a worker's error; it must fail the run exactly
+    as at shutdown."""
+    import multiprocessing
+
+    from repro.components.streaming import PlaneSink
+    from repro.hinch.autotune import AutotuneConfig, Decision
+
+    class BadSnapshotInSlot1(PlaneSink):
+        # only the worker in slot 1 — the one the shrink retires — fails
+        def snapshot_state(self):
+            name = multiprocessing.current_process().name
+            if name.startswith("hinch-proc-worker-1."):
+                raise RuntimeError("snapshot exploded")
+            return super().snapshot_state()
+
+    class Scripted:  # the controller stand-in of test_autotune.py
+        config = AutotuneConfig(window=2)
+        decisions = [Decision(kind="shrink_workers", window=0,
+                              reason="scripted", workers=1)]
+
+        def observe(self, obs):
+            return self.decisions.pop(0) if self.decisions else None
+
+    registry = dict(REG)
+    registry["plane_sink"] = BadSnapshotInSlot1
+    program = make_program(
+        build_blur(3, width=48, height=36, slices=3, frames=8,
+                   collect=True),
+        name="blur",
+    )
+    rt = ProcessRuntime(program, registry, workers=2, pipeline_depth=2,
+                        max_iterations=8)
+    rt._controller = Scripted()
+    with pytest.raises(RuntimeError, match="snapshot exploded") as info:
+        rt.run()
+    assert 1 in rt._spawned_slots  # the retired slot had forked
+    assert info.value.__cause__.worker == 1
+    assert rt.scheduler.completed_iterations < 8  # failed at the shrink
+    assert rt.pool.total_planes == 0
+
+
 # -- the injection harness ---------------------------------------------------
 
 

@@ -37,6 +37,27 @@ def test_ensure_buffer_against_expectation_raises():
         s.ensure_buffer(0, shape=(8, 8), dtype=np.float32, writer="scale")
 
 
+def test_fused_stream_geometry_mismatch_raises_structured_error():
+    # a chain-internal stream of a fused job is held to its solved format
+    from repro.hinch.fusion import FusedChain, _FusedLocalStore
+
+    chain = FusedChain((), {"mid": ((8, 8), "uint8")})
+    store = _FusedLocalStore(StreamStore(), chain, {})
+    with pytest.raises(StreamFormatError, match="fused stream") as exc_info:
+        store.stream("mid").ensure_buffer(
+            0, shape=(4, 8), dtype=np.uint8, writer="scale"
+        )
+    err = exc_info.value
+    assert err.stream == "mid"
+    assert err.iteration == 0
+    assert err.node == "scale"
+    assert err.declared == ((8, 8), "uint8")
+    assert err.observed == ((4, 8), "uint8")
+    # the matching geometry gets the job-local temporary
+    buf = store.stream("mid").ensure_buffer(0, shape=(8, 8), dtype=np.uint8)
+    assert buf.shape == (8, 8)
+
+
 def test_format_error_is_a_stream_error():
     # callers catching the historical StreamError keep working
     assert issubclass(StreamFormatError, StreamError)
