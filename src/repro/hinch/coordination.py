@@ -14,8 +14,8 @@ the SpaceCAKE simulator — must agree on lives here, once:
   components, managers, scheduler and ``reconfig_log``; implements the
   manager-facing :class:`~repro.hinch.manager.ReconfigController`,
   :meth:`~Coordinator.post_event`, the splice core of
-  :meth:`~Coordinator.on_reconfigure`, control-node execution and the
-  :class:`RunResult` of a run.
+  :meth:`~Coordinator.on_reconfigure`, re-slicing, control-node
+  execution and the :class:`RunResult` of a run.
 
 A backend is an executor plus hooks: ``_lock`` (a context manager
 guarding controller state), ``_before_splice``/``_after_splice`` around
@@ -45,6 +45,7 @@ from repro.analysis.formats import (
     solve_formats_or_raise,
 )
 from repro.core.program import ComponentInstance, Program, ProgramGraph
+from repro.errors import ReproError
 from repro.hinch.component import Component
 from repro.hinch.events import Event, EventBroker
 from repro.hinch.fusion import FusionReport, fuse_chains
@@ -60,6 +61,7 @@ __all__ = [
     "RunResult",
     "apply_replay",
     "build_configuration",
+    "slice_candidates",
 ]
 
 
@@ -115,9 +117,9 @@ def build_configuration(
 ) -> Configuration:
     """Build one configuration of ``program``.
 
-    Deterministic in its inputs: the process dispatcher and every worker
-    run it independently after each splice and must agree on node ids,
-    overrides and the interner table.  Format errors (X501–X503) raise
+    Every backend calls it through :meth:`Coordinator._build`, once per
+    configuration; process workers install the configuration the
+    dispatcher ships them.  Format errors (X501–X503) raise
     :class:`~repro.errors.StreamFormatError` on every backend.
     """
     pg = program.build_graph(option_states)
@@ -133,6 +135,47 @@ def build_configuration(
             parallel_headroom=fuse_headroom,
         )
     return Configuration(pg, overrides, expectations, fusion)
+
+
+def slice_candidates(
+    program: Program,
+    registry: Mapping[str, type[Component]],
+    option_states: Mapping[str, bool] | None,
+) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """Widths each slice-elastic group of ``program`` can be re-sliced to.
+
+    Maps a group's definition id to its current replication total and
+    the totals it builds at (the current one included); groups with no
+    alternative width are left out.  Every width is validated up front
+    with a trial re-slice (structure + format solve), so a re-slice
+    decided at a splice never discovers mid-run that it does not build.
+    """
+    from repro.analysis.diagnostics import DiagnosticBag
+    from repro.analysis.formats import check_formats
+    from repro.core.reslice import reslice, slice_groups
+
+    candidates: dict[str, tuple[int, tuple[int, ...]]] = {}
+    for group in slice_groups(program).values():
+        cls = registry.get(group.class_name)
+        if cls is None or not cls.slice_elastic():
+            continue
+        totals: list[int] = []
+        for total in sorted({1, 2, 4, 8} | {group.total}):
+            if total != group.total:
+                try:
+                    trial = reslice(program, {group.definition_id: total})
+                    bag = DiagnosticBag()
+                    check_formats(
+                        bag, trial, trial.build_graph(option_states)
+                    )
+                except ReproError:
+                    continue
+                if bag.has_errors:
+                    continue
+            totals.append(total)
+        if len(totals) > 1:
+            candidates[group.definition_id] = (group.total, tuple(totals))
+    return candidates
 
 
 def apply_replay(
@@ -241,6 +284,10 @@ class Coordinator:
         pool: Any = None,
     ) -> None:
         self.program = program
+        #: the program as given; every re-slice derives from it
+        self._program_base = program
+        #: cumulative group -> replication-total overrides (see _apply_slices)
+        self._slice_overrides: dict[str, int] = {}
         self.registry = registry
         self.pipeline_depth = pipeline_depth
         self.max_iterations = max_iterations
@@ -281,6 +328,22 @@ class Coordinator:
         if config.fusion is not None:
             self.fusion_report = config.fusion
         return config.pg
+
+    def _apply_slices(self, slices: Mapping[str, int]) -> None:
+        """Change replication totals (definition id -> copies).
+
+        Overrides accumulate and always apply to the program the run
+        started with, so revisiting a width is idempotent.  Managers get
+        their replacement descriptors (queue binding and stats stay); the
+        graph follows at the next :meth:`_build`.
+        """
+        from repro.core.reslice import reslice
+
+        self._slice_overrides.update(slices)
+        self.program = reslice(self._program_base, self._slice_overrides)
+        self.host.program = self.program
+        for qname, manager in self.managers.items():
+            manager.rebind(self.program.managers[qname])
 
     def _replay_for(
         self, instance_ids: Iterable[str]

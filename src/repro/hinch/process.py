@@ -16,7 +16,9 @@ execution across process boundaries:
   the dispatcher, maintained by broadcast) and do nothing but execute
   ``(iteration, node)`` jobs pulled from the central queue — the paper's
   "work goes wherever there is a free processor" policy, with the
-  dispatcher handing the FIFO head to any idle worker.
+  dispatcher handing the FIFO head to any idle worker.  A worker never
+  builds a configuration: at each splice it installs the one the
+  dispatcher built and shipped.
 
 Frame transport is zero-copy: stream values cross the control pipes as
 :class:`~repro.hinch.shm.Packed` descriptors a few hundred bytes long,
@@ -72,14 +74,16 @@ back to the scheduler's normal readiness path — and checkpoint deltas
 apply exactly once.
 
 Requires a ``fork``-capable platform (Linux): workers inherit the
-compiled :class:`~repro.core.program.Program` and component registry by
-address-space copy, so nothing about the application itself is pickled.
+compiled :class:`~repro.core.program.Program`, the built graph and the
+component registry by address-space copy, so spawning pickles nothing
+about the application; only splices ship a configuration.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import re
 import time
 import traceback
@@ -89,7 +93,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.program import ComponentInstance, Program, ProgramGraph
-from repro.errors import SchedulingError, StreamError, WorkerFailure
+from repro.errors import ReproError, SchedulingError, StreamError, WorkerFailure
 from repro.hinch.autotune import (
     AutotuneConfig,
     AutotuneController,
@@ -102,14 +106,14 @@ from repro.hinch.coordination import (
     Coordinator,
     RunResult,
     apply_replay,
-    build_configuration,
+    slice_candidates,
 )
 from repro.hinch.events import Event
 from repro.hinch.faults import FaultInjector, FaultSpec, coerce_injector
 from repro.hinch.fusion import run_task, task_members
 from repro.hinch.jobqueue import Job, JobQueue
 from repro.hinch.scheduler import ReconfigPlan
-from repro.hinch.shm import NameInterner, Packed, PlaneRef, SharedPlanePool
+from repro.hinch.shm import Packed, PlaneRef, PoolStats, SharedPlanePool
 from repro.hinch.stream import check_geometry
 
 __all__ = ["ProcessRuntime"]
@@ -130,6 +134,28 @@ _WORKER_STAT_KEYS = (
     "plane_packs",
     "pickle_packs",
 )
+
+
+# ---------------------------------------------------------------------------
+# Control pipe (both ends)
+# ---------------------------------------------------------------------------
+
+
+def _send(conn: Connection, msg: tuple[Any, ...], stats: PoolStats) -> None:
+    """Pickle and send one control message, counting its bytes.
+
+    Every message either end sends goes through here, so
+    :attr:`PoolStats.meta_pickled_bytes` — the dispatcher's count plus
+    the worker counts merged at stop — is the run's whole control-plane
+    pickle volume.
+    """
+    data = pickle.dumps(msg, protocol=5)
+    stats.meta_pickled_bytes += len(data)
+    conn.send_bytes(data)
+
+
+def _recv(conn: Connection) -> Any:
+    return pickle.loads(conn.recv_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +354,12 @@ class _WorkerStream:
 
 
 class _Worker:
-    """Worker-process main object: mirrors components, executes jobs."""
+    """Worker-process main object: mirrors components, executes jobs.
+
+    A worker never builds a configuration: it inherits the dispatcher's
+    built (fused) graph through fork copy-on-write, and each splice
+    message carries the next one.
+    """
 
     def __init__(
         self,
@@ -338,36 +369,12 @@ class _Worker:
         pg: ProgramGraph,
         worker_id: int,
         overrides: Mapping[str, ComponentInstance] | None = None,
-        fuse: bool = False,
-        program_base: Program | None = None,
-        slice_overrides: Mapping[str, int] | None = None,
-        fuse_headroom: int | None = None,
         replay: Mapping[str, tuple[str, ...]] | None = None,
     ) -> None:
         self.conn = conn
-        self.program = program
-        self.registry = registry
-        self.fuse = fuse
-        #: the un-resliced Program — re-slices always derive from it so
-        #: cumulative overrides stay idempotent; ``program`` itself may
-        #: already be a resliced derivation at fork time
-        self.program_base = program_base if program_base is not None else program
-        #: cumulative group -> replication-total overrides applied so far
-        self.slice_overrides = dict(slice_overrides or {})
-        #: workers-vs-cores headroom for the fusion profitability guard
-        #: (None fuses unconditionally); updated by splice messages
-        self.fuse_headroom = fuse_headroom
         self.worker_id = worker_id
         self.pool = _RemotePlanePool(self.rpc)
-        # The dispatcher's already-built (fused) graph is inherited
-        # through fork copy-on-write — rebuilding it here would add
-        # build and fusion latency to every spawn and respawn.  A splice
-        # rebuilds locally (the new option states arrive by message).
         self.pg = pg
-        #: control-pipe pickler sharing the dispatcher's name table
-        #: (derived deterministically from the same graph on both ends)
-        self.interner = NameInterner(NameInterner.names_of(pg))
-        self._plain = NameInterner()
         #: per-fused-node temps/kernels; discarded on splice
         self._fused_caches: dict[str, dict[str, Any]] = {}
         self.host = ComponentHost(program, registry)
@@ -387,19 +394,6 @@ class _Worker:
         #: wall seconds the current job spent waiting on dispatcher RPCs
         self.rpc_wait = 0.0
 
-    # -- control pipe --------------------------------------------------------
-
-    def _send(self, msg: tuple[Any, ...], *, interned: bool = True) -> None:
-        coder = self.interner if interned else self._plain
-        data = coder.dumps(msg)
-        self.pool.stats.meta_pickled_bytes += len(data) + 1
-        self.conn.send_bytes((b"\x01" if interned else b"\x00") + data)
-
-    def _recv(self) -> Any:
-        raw = self.conn.recv_bytes()
-        coder = self.interner if raw[:1] == b"\x01" else self._plain
-        return coder.loads(raw[1:])
-
     # -- dispatcher RPC -----------------------------------------------------
 
     def rpc(self, request: tuple[Any, ...]) -> Any:
@@ -414,9 +408,9 @@ class _Worker:
         """
         t0 = time.perf_counter()
         try:
-            self._send(request)
+            _send(self.conn, request, self.pool.stats)
             while True:
-                reply = self._recv()
+                reply = _recv(self.conn)
                 if reply[0] == "rpc":
                     return reply[1]
                 self._handle_control(reply)
@@ -430,34 +424,16 @@ class _Worker:
             for instance_id in instance_ids:
                 self.host.live[instance_id].reconfigure(request)
         elif tag == "splice":
-            # The dispatcher's post-splice option states, the auto-tuner's
-            # cumulative slice overrides, the fusion headroom, and the
+            # The dispatcher's built configuration — the (possibly
+            # re-sliced) program, graph and instance overrides — and the
             # parameter requests fresh mirrors must replay.
-            _, states, overrides, self.fuse_headroom, replay = msg
-            if overrides != self.slice_overrides:
-                from repro.core.reslice import reslice
-
-                self.slice_overrides = overrides
-                self.program = (
-                    reslice(self.program_base, overrides)
-                    if overrides else self.program_base
-                )
-                self.host.program = self.program
-            # Same build the dispatcher ran: node ids, overrides and the
-            # interner table must agree on both ends.
-            config = build_configuration(
-                self.program, self.registry, states,
-                fuse=self.fuse, fuse_headroom=self.fuse_headroom,
-            )
-            self.host.overrides = config.overrides
+            program, pg, overrides, replay = pickle.loads(msg[1])
+            self.host.program = program
+            self.host.overrides = overrides
             self._fused_caches = {}
-            self.host.splice(config.pg.active_components, {})
+            self.host.splice(pg.active_components, {})
             apply_replay(self.host.live, replay)
-            self.pg = config.pg
-            # Same table the dispatcher derives from its own rebuild;
-            # control messages themselves are never interned, so the
-            # swap cannot race the splice that carries it.
-            self.interner.set_table(NameInterner.names_of(config.pg))
+            self.pg = pg
         else:  # pragma: no cover - protocol error
             raise SchedulingError(f"worker got unexpected message {tag!r}")
 
@@ -567,14 +543,14 @@ class _Worker:
             record = self._run_job(iteration, node_id, inputs, resident,
                                    ensured, fault)
             unused = self.pool.take_unused_grants() if index == last else None
-            self._send(("done", record, unused))
+            _send(self.conn, ("done", record, unused), self.pool.stats)
 
     # -- main loop -----------------------------------------------------------
 
     def main(self) -> None:
         try:
             while True:
-                msg = self._recv()
+                msg = _recv(self.conn)
                 tag = msg[0]
                 if tag == "lease":
                     self._run_lease(msg[1], msg[2], msg[3])
@@ -585,9 +561,11 @@ class _Worker:
                         if state is not None:
                             snapshots[instance_id] = state
                     stats = self.pool.stats.as_dict()
-                    self._send(
+                    _send(
+                        self.conn,
                         ("bye", snapshots,
-                         {k: stats[k] for k in _WORKER_STAT_KEYS})
+                         {k: stats[k] for k in _WORKER_STAT_KEYS}),
+                        self.pool.stats,
                     )
                     return
                 else:
@@ -595,10 +573,10 @@ class _Worker:
         except BaseException as exc:
             tb = traceback.format_exc()
             try:
-                self._send(("error", exc, tb), interned=False)
+                _send(self.conn, ("error", exc, tb), self.pool.stats)
             except Exception:
                 try:
-                    self._send(("error", None, tb), interned=False)
+                    _send(self.conn, ("error", None, tb), self.pool.stats)
                 except Exception:
                     pass
         finally:
@@ -613,14 +591,9 @@ def _worker_entry(
     pg: ProgramGraph,
     worker_id: int,
     overrides: Mapping[str, ComponentInstance] | None = None,
-    fuse: bool = False,
-    program_base: Program | None = None,
-    slice_overrides: Mapping[str, int] | None = None,
-    fuse_headroom: int | None = None,
     replay: Mapping[str, tuple[str, ...]] | None = None,
 ) -> None:
-    _Worker(conn, program, registry, pg, worker_id, overrides, fuse,
-            program_base, slice_overrides, fuse_headroom, replay).main()
+    _Worker(conn, program, registry, pg, worker_id, overrides, replay).main()
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +709,6 @@ class ProcessRuntime(Coordinator):
             self._cores = len(os.sched_getaffinity(0))
         except (AttributeError, OSError):
             self._cores = os.cpu_count() or 1
-        #: the un-resliced Program the auto-tuner derives every re-slice
-        #: from, so cumulative overrides stay idempotent
-        self._program_base = program
-        #: cumulative group -> replication-total overrides applied so far
-        self._slice_overrides: dict[str, int] = {}
         #: workers-vs-cores ceiling handed to the fusion profitability
         #: guard: fusing a sliced pair forfeits pipeline overlap exactly
         #: when more workers than slice copies could run its members
@@ -754,11 +722,6 @@ class ProcessRuntime(Coordinator):
             option_states=option_states, fuse=fuse,
             pool=SharedPlanePool(shared=True),
         )
-        #: control-pipe pickler; workers derive the identical table from
-        #: the same graph (forked or rebuilt), so name strings travel as
-        #: small integer codes
-        self.interner = NameInterner(NameInterner.names_of(self.pg))
-        self._plain = NameInterner()
         self.queue = JobQueue()
         self._ctx: Any = None
         #: slot -> control pipe / process handle (None until spawned;
@@ -848,56 +811,33 @@ class ProcessRuntime(Coordinator):
     ) -> AutotuneController:
         """Build the controller: slice candidates and the cost-model seed.
 
-        Candidate replication totals are validated *up front* with trial
-        re-slices (structure + format solve) so a decision at a splice
-        can never discover mid-run that a width does not build.  The
-        cost-model seed (:func:`repro.prediction.seed_plan`) is best
-        effort: programs without cost annotations tune from measurements
-        alone.
+        Candidate replication totals come from
+        :func:`~repro.hinch.coordination.slice_candidates`, validated
+        before the run starts.  The cost-model seed
+        (:func:`repro.prediction.seed_plan`) is best effort: a program the
+        model rejects (a :class:`~repro.errors.ReproError`) tunes from
+        measurements alone; any other exception is a bug and surfaces.
         """
-        from repro.analysis.diagnostics import DiagnosticBag
-        from repro.analysis.formats import check_formats
-        from repro.core.reslice import reslice, slice_groups
-
         candidates: dict[str, tuple[int, ...]] = {}
-        for group in slice_groups(self._program_base).values():
-            cls = self.registry.get(group.class_name)
-            if cls is None or not cls.slice_elastic():
-                continue
-            totals: list[int] = []
-            for total in sorted({1, 2, 4, 8} | {group.total}):
-                if total == group.total:
-                    totals.append(total)
-                    continue
-                try:
-                    trial = reslice(
-                        self._program_base, {group.definition_id: total}
-                    )
-                    bag = DiagnosticBag()
-                    check_formats(
-                        bag, trial, trial.build_graph(option_states)
-                    )
-                    if not bag.has_errors:
-                        totals.append(total)
-                except Exception:
-                    continue
-            if len(totals) > 1:
-                candidates[group.definition_id] = tuple(totals)
-                self._slice_totals[group.definition_id] = group.total
+        for definition, (total, totals) in slice_candidates(
+            self.program, self.registry, option_states
+        ).items():
+            candidates[definition] = totals
+            self._slice_totals[definition] = total
         seed_intervals: dict[int, float] | None = None
         max_workers = max(self.workers, self._cores)
         try:
             from repro.prediction import seed_plan
 
             plan = seed_plan(
-                self._program_base,
+                self.program,
                 self.registry,
                 max_workers=max_workers,
                 pipeline_depth=self.pipeline_depth,
                 option_states=option_states,
             )
             seed_intervals = dict(plan.intervals)
-        except Exception:
+        except ReproError:
             pass
         config = AutotuneConfig(
             objective=objective,
@@ -976,16 +916,8 @@ class ProcessRuntime(Coordinator):
         if decision.workers is not None:
             self._resize_pool(decision.workers)
         if decision.slices:
-            from repro.core.reslice import reslice
-
-            self._slice_overrides.update(decision.slices)
+            self._apply_slices(decision.slices)
             self._slice_totals.update(decision.slices)
-            self.program = reslice(self._program_base, self._slice_overrides)
-            self.host.program = self.program
-            # Member tuples changed with the program: every manager gets
-            # its replacement descriptor (queue binding and stats stay).
-            for qname, manager in self.managers.items():
-                manager.rebind(self.program.managers[qname])
         if self.fuse:
             self._fuse_headroom = min(self.workers, self._cores)
         if self.tracer.enabled:
@@ -1056,7 +988,7 @@ class ProcessRuntime(Coordinator):
         # Auto-tune decisions piggyback on the quiescent splice: resize
         # the pool / retune the batch / re-slice *before* the graph
         # rebuild so the new shape and the new fusion headroom are what
-        # both sides derive the post-splice graph from.
+        # the post-splice graph is built from.
         pending, self._pending_autotune = self._pending_autotune, []
         for decision in pending:
             self._apply_autotune(decision, resume_iteration)
@@ -1071,18 +1003,13 @@ class ProcessRuntime(Coordinator):
         self._demand.clear()
         self._cpu_bound.clear()
         # The graph is quiescent (no jobs in flight), so every worker is
-        # idle and will process the splice before its next job.  self.pg
-        # is already the new graph, so a worker respawned by a send
-        # failure here forks with the post-splice option states baked in.
-        self._broadcast(
-            ("splice", dict(self.pg.option_states),
-             dict(self._slice_overrides), self._fuse_headroom, replay)
-        )
-        # Intern table follows the graph.  Control messages (including
-        # the splice itself) are never interned and no lease or RPC can
-        # be in flight at quiescence, so nothing encoded with the old
-        # table remains undecoded when either side swaps.
-        self.interner.set_table(NameInterner.names_of(self.pg))
+        # idle and will install the splice before its next job.  The
+        # built configuration is pickled once, however many workers
+        # receive it.  self.pg is already the new graph, so a worker
+        # respawned by a send failure here forks with it baked in.
+        self._broadcast(("splice", pickle.dumps(
+            (self.program, self.pg, self.host.overrides, replay), protocol=5
+        )))
 
     def _deliver_request(self, instance_ids: list[str], request: str) -> None:
         # Every worker applies the request to its own mirrors, possibly
@@ -1103,31 +1030,9 @@ class ProcessRuntime(Coordinator):
         """
         for slot in sorted(self._live):
             try:
-                self._send_to(slot, msg, interned=False)
+                _send(self._conns[slot], msg, self.pool.stats)
             except OSError:
                 self._worker_failed(slot, "send failed (broken pipe)")
-
-    # -- control pipe --------------------------------------------------------
-
-    def _send_to(
-        self, slot: int, msg: tuple[Any, ...], *, interned: bool = True
-    ) -> None:
-        """Encode and send one message; control traffic goes un-interned.
-
-        Byte counts land in :attr:`PoolStats.meta_pickled_bytes` — together
-        with the worker-side counts shipped home at shutdown this makes
-        the counter the total control-plane pickle volume of the run,
-        which is what the interner exists to shrink.
-        """
-        coder = self.interner if interned else self._plain
-        data = coder.dumps(msg)
-        self.pool.stats.meta_pickled_bytes += len(data) + 1
-        self._conns[slot].send_bytes((b"\x01" if interned else b"\x00") + data)
-
-    def _recv_from(self, slot: int) -> Any:
-        raw = self._conns[slot].recv_bytes()
-        coder = self.interner if raw[:1] == b"\x01" else self._plain
-        return coder.loads(raw[1:])
 
     # -- dispatch ------------------------------------------------------------
 
@@ -1489,10 +1394,11 @@ class ProcessRuntime(Coordinator):
             # of n jobs never waits n windows for a wedged first job.
             self._deadlines[worker] = time.perf_counter() + self.watchdog
         try:
-            self._send_to(
-                worker,
+            _send(
+                self._conns[worker],
                 ("lease", entries, grants,
                  self.scheduler.lowest_live_iteration),
+                self.pool.stats,
             )
         except OSError:
             # Worker died between going idle and this dispatch; the
@@ -1668,7 +1574,7 @@ class ProcessRuntime(Coordinator):
 
     def _rpc_reply(self, worker: int, value: Any) -> None:
         try:
-            self._send_to(worker, ("rpc", value))
+            _send(self._conns[worker], ("rpc", value), self.pool.stats)
         except OSError:
             self._worker_failed(worker, "send failed (broken pipe)")
 
@@ -1745,8 +1651,7 @@ class ProcessRuntime(Coordinator):
         proc = self._ctx.Process(
             target=_worker_entry,
             args=(child, self.program, self.registry, self.pg, slot,
-                  dict(self.host.overrides), self.fuse, self._program_base,
-                  dict(self._slice_overrides), self._fuse_headroom,
+                  dict(self.host.overrides),
                   self._replay_for(self.host.live)),
             name=f"hinch-proc-worker-{slot}.{incarnation}",
             daemon=True,
@@ -1905,7 +1810,7 @@ class ProcessRuntime(Coordinator):
                 and self._incarnation[slot] == incarnation
                 and conn.poll()
             ):
-                self._on_message(slot, self._recv_from(slot))
+                self._on_message(slot, _recv(conn))
         except (EOFError, OSError):
             # Only condemn the incarnation this pipe belongs to — the
             # slot may already hold its respawned (innocent) successor.
@@ -1988,13 +1893,13 @@ class ProcessRuntime(Coordinator):
         error: BaseException | None = None
         for slot in slots:
             try:
-                self._send_to(slot, ("stop",), interned=False)
+                _send(self._conns[slot], ("stop",), self.pool.stats)
             except OSError:
                 pass
         for slot in slots:
             try:
                 while True:
-                    msg = self._recv_from(slot)
+                    msg = _recv(self._conns[slot])
                     if msg[0] == "bye":
                         _, snapshots, stats = msg
                         for instance_id, state in snapshots.items():

@@ -31,10 +31,9 @@ assert on.
 
 from __future__ import annotations
 
-import io
 import pickle
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "Packed",
     "SharedPlanePool",
     "PoolStats",
-    "NameInterner",
 ]
 
 
@@ -89,9 +87,8 @@ class PoolStats:
     released: int = 0
     #: bytes of pickled metadata: :meth:`SharedPlanePool.pack` scaffolding
     #: plus every control-pipe message this side serialized (leases, done
-    #: records, RPCs).  Planes and out-of-band arrays bypass pickle, and
-    #: :class:`NameInterner` shrinks the repeated stream/node name strings
-    #: — this counter is where that reduction shows up.
+    #: records, RPCs, splices).  Planes and out-of-band arrays bypass
+    #: pickle.
     meta_pickled_bytes: int = 0
     #: bytes moved out-of-band into planes by pack() (memcpy, not pickle)
     oob_bytes: int = 0
@@ -105,85 +102,6 @@ class PoolStats:
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
-
-
-class _InternPickler(pickle.Pickler):
-    """Protocol-5 pickler replacing table strings with small int codes."""
-
-    def __init__(self, file: io.BytesIO, codes: dict[str, int]) -> None:
-        super().__init__(file, protocol=5)
-        self._codes = codes
-
-    def persistent_id(self, obj: Any) -> int | None:
-        # Exact-type check: str subclasses may carry state a code loses.
-        if type(obj) is str:
-            return self._codes.get(obj)
-        return None
-
-
-class _InternUnpickler(pickle.Unpickler):
-    def __init__(self, file: io.BytesIO, table: list[str]) -> None:
-        super().__init__(file)
-        self._table = table
-
-    def persistent_load(self, pid: Any) -> str:
-        return self._table[pid]
-
-
-class NameInterner:
-    """String interning for control-pipe pickles.
-
-    Lease entries and done records repeat the same node ids and resolved
-    stream names every iteration — on JPiP that is tens of kilobytes of
-    identical strings per run.  Both pipe ends derive the *same* table
-    from the current program graph (:meth:`names_of` is deterministic:
-    sorted node ids, member instance ids, stream names and aliases), so a
-    table string pickles as a 2–3 byte persistent-id code instead of its
-    UTF-8 bytes plus framing.
-
-    The table is rebuilt from the new graph on both sides of a
-    reconfiguration splice.  Splices happen at quiescence over FIFO pipes
-    — no steady-state message is ever in flight across a table swap — and
-    the splice/control messages themselves are encoded *without*
-    interning (an empty-table interner decodes them on any side).
-    """
-
-    def __init__(self, names: Iterable[str] = ()) -> None:
-        self.set_table(names)
-
-    def set_table(self, names: Iterable[str]) -> None:
-        table = sorted(set(names))
-        self._table = table
-        self._codes = {name: code for code, name in enumerate(table)}
-
-    @property
-    def table(self) -> list[str]:
-        return list(self._table)
-
-    @staticmethod
-    def names_of(pg: Any) -> list[str]:
-        """Deterministic intern table for a program graph (both pipe ends)."""
-        names: set[str] = set()
-        for node in pg.graph:
-            names.add(node.node_id)
-            payload = node.payload
-            members = payload if isinstance(payload, tuple) else (payload,)
-            for member in members:
-                instance_id = getattr(member, "instance_id", None)
-                if isinstance(instance_id, str):
-                    names.add(instance_id)
-        names.update(pg.streams)
-        names.update(pg.aliases)
-        names.update(pg.aliases.values())
-        return sorted(names)
-
-    def dumps(self, obj: Any) -> bytes:
-        buf = io.BytesIO()
-        _InternPickler(buf, self._codes).dump(obj)
-        return buf.getvalue()
-
-    def loads(self, data: bytes) -> Any:
-        return _InternUnpickler(io.BytesIO(data), self._table).load()
 
 
 def _round_size(nbytes: int) -> int:

@@ -417,33 +417,60 @@ def _assert_identical(ref, other):
 
 
 def test_scripted_decisions_apply_and_output_stays_bit_identical():
+    """Run once unfused and once fused (one test id for both inputs):
+    fused, the re-sliced configuration reaches the workers only through
+    the splice message."""
     frames = 16
     program = _jpip(frames=frames)
     ref = ProcessRuntime(program, REG, workers=4, pipeline_depth=4,
                          max_iterations=frames, batch=2).run()
     group = next(d for d in sorted(slice_groups(program)) if "idct" in d)
-    rt = ProcessRuntime(program, REG, workers=4, pipeline_depth=4,
-                        max_iterations=frames, batch=2)
-    rt._controller = _Scripted([
-        Decision(kind="set_batch", window=1, reason="scripted", batch=4),
-        Decision(kind="shrink_workers", window=2, reason="scripted",
-                 workers=1),
-        Decision(kind="narrow_slices", window=3, reason="scripted",
-                 slices={group: 2}),
-        Decision(kind="grow_workers", window=4, reason="scripted",
-                 workers=2),
-    ])
-    result = rt.run()
-    assert result.completed_iterations == frames
-    assert (rt.workers, rt.batch) == (2, 4)
-    assert [e["kind"] for e in rt.autotune_events] == [
-        "set_batch", "shrink_workers", "narrow_slices", "grow_workers",
-    ]
-    # every decision's effect was measured against its prediction
-    for event in rt.autotune_events:
-        assert event["achieved_fps"] is not None
-        assert event["achieved_ratio"] is not None
-    _assert_identical(_frames(ref), _frames(result))
+    for fuse in (False, True):
+        rt = ProcessRuntime(program, REG, workers=4, pipeline_depth=4,
+                            max_iterations=frames, batch=2, fuse=fuse)
+        rt._controller = _Scripted([
+            Decision(kind="set_batch", window=1, reason="scripted", batch=4),
+            Decision(kind="shrink_workers", window=2, reason="scripted",
+                     workers=1),
+            Decision(kind="narrow_slices", window=3, reason="scripted",
+                     slices={group: 2}),
+            Decision(kind="grow_workers", window=4, reason="scripted",
+                     workers=2),
+        ])
+        result = rt.run()
+        assert result.completed_iterations == frames
+        assert (rt.workers, rt.batch) == (2, 4)
+        assert [e["kind"] for e in rt.autotune_events] == [
+            "set_batch", "shrink_workers", "narrow_slices", "grow_workers",
+        ]
+        # every decision's effect was measured against its prediction
+        for event in rt.autotune_events:
+            assert event["achieved_fps"] is not None
+            assert event["achieved_ratio"] is not None
+        _assert_identical(_frames(ref), _frames(result))
+
+
+def test_seed_plan_bug_surfaces(monkeypatch):
+    """Only a model rejection (a ReproError) falls back to measurement-only
+    tuning; any other exception from the cost-model seed is a bug and
+    must not vanish."""
+    import repro.prediction
+
+    def broken(*args, **kwargs):
+        raise TypeError("seed_plan bug")
+
+    monkeypatch.setattr(repro.prediction, "seed_plan", broken)
+    with pytest.raises(TypeError, match="seed_plan bug"):
+        ProcessRuntime(_jpip(), REG, workers=2, max_iterations=4,
+                       autotune=True)
+
+    def rejects(*args, **kwargs):
+        raise PredictionError("no cost model")
+
+    monkeypatch.setattr(repro.prediction, "seed_plan", rejects)
+    rt = ProcessRuntime(_jpip(), REG, workers=2, max_iterations=4,
+                        autotune=True)
+    assert rt._controller is not None
 
 
 def test_autotuned_run_matches_static_run_bit_for_bit():

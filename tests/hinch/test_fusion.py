@@ -1,4 +1,4 @@
-"""Chain fusion (--fuse): structure, bit-identity, faults, interning.
+"""Chain fusion (--fuse): structure, bit-identity, faults, pipe volume.
 
 The fusion compiler (:mod:`repro.hinch.fusion`) rewrites provable linear
 chains into single-dispatch fused kernels whose intermediate planes stay
@@ -9,8 +9,6 @@ mid-fused-job requeues the whole fused job exactly once.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +21,6 @@ from repro.core import expand, parse_string
 from repro.hinch import ProcessRuntime, ThreadedRuntime
 from repro.hinch.fusion import FusedChain, fuse_chains
 from repro.hinch.grouping import find_linear_chains
-from repro.hinch.shm import NameInterner
 
 REG = default_registry()
 
@@ -305,40 +302,7 @@ def test_fusion_absorbs_the_auto_inserted_converter():
                  fused.components["sink"].ordered_planes())
 
 
-# -- lease-pickle string interning -------------------------------------------
-
-
-def test_interner_round_trips_arbitrary_messages():
-    interner = NameInterner(["alpha", "beta", "gamma"])
-    msg = ("lease", [("alpha", 3, ("beta", "delta")), {"gamma": None}], 7)
-    assert interner.loads(interner.dumps(msg)) == msg
-
-
-def test_interner_code_zero_and_unknown_strings():
-    interner = NameInterner(["aa", "bb"])
-    # "aa" interns to code 0 — falsy, must still intern
-    data = interner.dumps(["aa", "zz", "bb"])
-    assert interner.loads(data) == ["aa", "zz", "bb"]
-    assert b"aa" not in data
-    assert b"zz" in data
-
-
-def test_interned_lease_smaller_than_plain_pickle():
-    names = [f"pip0_idct_y/idct[{i}]+scale0_y[{i}]" for i in range(8)]
-    interner = NameInterner(names)
-    lease = ("lease", [(n, i, 2) for i, n in enumerate(names)], 3)
-    assert len(interner.dumps(lease)) < len(pickle.dumps(lease, protocol=5))
-    assert interner.loads(interner.dumps(lease)) == lease
-
-
-def test_interner_table_derivation_covers_fused_payloads():
-    program = _jpip_program()
-    _, (pg, report) = _fused_graph(program)
-    names = set(NameInterner.names_of(pg))
-    for chain in report.chains:
-        assert chain.node_id in names
-        for member in chain:
-            assert member.instance_id in names
+# -- control-pipe volume ----------------------------------------------------
 
 
 def test_fused_process_run_shrinks_meta_bytes():

@@ -9,6 +9,8 @@ reconfigurations.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,39 @@ def test_reconfigurable_blur_matches_threaded_when_sequential():
         assert np.array_equal(x, y)
 
 
+def test_workers_never_build_a_configuration(monkeypatch):
+    """Workers install the configuration the dispatcher built and shipped:
+    a graph build in any other process (forked workers inherit the patch)
+    fails the run."""
+    from repro.core.program import Program
+
+    pid = os.getpid()
+    build_graph = Program.build_graph
+
+    def dispatcher_only(self, *args, **kwargs):
+        if os.getpid() != pid:
+            raise AssertionError("a worker built a configuration")
+        return build_graph(self, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "build_graph", dispatcher_only)
+    spec = build_blur(reconfigurable=True, period=3, width=48, height=36,
+                      slices=3, frames=2, collect=True)
+    program = make_program(spec, name="blur35")
+    thr_rt = ThreadedRuntime(program, REG, nodes=1, pipeline_depth=1,
+                             max_iterations=9)
+    thr = thr_rt.run()
+    prc_rt = ProcessRuntime(program, REG, workers=2, pipeline_depth=1,
+                            max_iterations=9, batch=4, fuse=True)
+    prc = prc_rt.run()
+    assert thr_rt.reconfig_log  # splices were broadcast to the workers
+    assert prc_rt.reconfig_log == thr_rt.reconfig_log
+    a = thr.components["sink"].ordered_planes()
+    b = prc.components["sink"].ordered_planes()
+    assert len(a) == len(b) == 9
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_preinjected_event_reconfigures_identically_at_any_width(workers):
     """An event posted before run() is handled at the first manager
@@ -140,7 +175,7 @@ def test_preinjected_event_reconfigures_identically_at_any_width(workers):
 def test_no_pixel_data_pickled_on_stream_hot_path():
     """Acceptance criterion: PiP streams nothing but ndarray planes, so
     stream transport must pickle nothing.  ``meta_pickled_bytes`` counts
-    the (interned) control-pipe messages — pure coordination metadata —
+    the control-pipe messages — pure coordination metadata —
     so it must stay flat when the frame area quadruples, while the
     out-of-band pixel bytes scale with it.  (collect=False: a collecting
     sink checkpoints whole frames, which legitimately ride — and are
